@@ -199,15 +199,15 @@ func BenchmarkAblationEtcdReplication(b *testing.B) {
 	}
 }
 
-// BenchmarkEtcdReads compares the four read modes on the hottest path
+// BenchmarkEtcdReads compares the three read modes on the hottest path
 // the control plane has — etcd Get/Range — with 64 concurrent readers
 // on a 3-node cluster whose surviving follower is slow (+5ms one-way)
 // and whose original leader is partitioned mid-run, so the stale-leader
 // hazards are live and every linearizable answer comes from the
 // successor's quorum. Reported per mode: quorum confirmation rounds per
-// linearizable read (the PR 9 headline — leaseread amortizes to ~0 vs
-// exactly 1 in readindex mode), lease fast-path reads per read, Raft
-// proposals per read (the PR 5 invariant: only propose mode pays), and
+// linearizable read (leaseread amortizes to ~0 vs exactly 1 in
+// readindex mode), lease fast-path reads per read, Raft proposals per
+// read (zero in every mode: reads never enter the log), and
 // virtual-time latency per read. The loop itself is the leader-
 // partition linearizability probe: every read must return the
 // acknowledged post-partition value in every mode (the stale isolated
@@ -218,10 +218,7 @@ func BenchmarkAblationEtcdReplication(b *testing.B) {
 func BenchmarkEtcdReads(b *testing.B) {
 	const keys = 16
 	const readers = 64
-	modes := []string{
-		etcd.ReadModeLease, etcd.ReadModeReadIndex,
-		etcd.ReadModePropose, etcd.ReadModeSerializable,
-	}
+	modes := []string{etcd.ReadModeLease, etcd.ReadModeReadIndex, etcd.ReadModeSerializable}
 	for _, mode := range modes {
 		b.Run(mode, func(b *testing.B) {
 			clk := clock.NewSim()
@@ -652,59 +649,6 @@ func BenchmarkMetadataStore(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkControlPlane compares the watch-driven control plane against
-// the pre-refactor polling loops on identical single-learner jobs:
-// end-to-end job-completion latency in virtual (cluster) time, and how
-// many etcd Range scans the platform spent per completed job. Watch
-// mode must come in strictly below poll mode on ranges/job — the poll
-// loops burn a full Range per Guardian tick even when nothing changed,
-// while watches react to the committed events themselves.
-func BenchmarkControlPlane(b *testing.B) {
-	for _, mode := range []string{"watch", "poll"} {
-		b.Run(mode, func(b *testing.B) {
-			p, err := dlaas.New(dlaas.Options{ControlPlane: mode})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			client := p.Client("bench")
-			creds := dlaas.Credentials{AccessKey: "bench", SecretKey: "s"}
-			data, err := p.CreateDataset("bench-data", "train.rec", 1<<30, creds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results, err := p.CreateResultsBucket("bench-results", creds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := &dlaas.Manifest{
-				Name: "bench", Framework: "tensorflow", Model: "resnet50",
-				Learners: 1, GPUsPerLearner: 1, BatchPerGPU: 32, Epochs: 1,
-				DatasetImages: 2000, TrainingData: data, Results: results,
-			}
-			clk := p.Clock()
-			rangesBefore := p.Etcd().RangeOps()
-			var virtual time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := clk.Now()
-				id, err := client.Submit(m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := client.WaitForState(id, dlaas.StateCompleted, 3*time.Hour); err != nil {
-					b.Fatal(err)
-				}
-				virtual += clk.Since(start)
-			}
-			b.StopTimer()
-			ranges := p.Etcd().RangeOps() - rangesBefore
-			b.ReportMetric(float64(ranges)/float64(b.N), "etcd-ranges/job")
-			b.ReportMetric(virtual.Seconds()/float64(b.N), "virtual-s/job")
-		})
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // The tests in this file pin the watch-driven control plane end to end:
 // Guardian resume-from-revision across a crash, the compacted-revision
 // re-list fallback, watch mode surviving etcd leader failover under a
-// mixed workload, and the efficiency claim itself — watch mode issues
-// strictly fewer etcd Range scans per completed job than poll mode.
+// mixed workload, and the efficiency claim itself — a completed job
+// costs a handful of etcd Range scans, not one per status tick.
 
 // guardianPods selects a job's live Guardian pods.
 func guardianPods(p *Platform, jobID string) []string {
@@ -174,29 +174,30 @@ func TestWatchControlPlaneSurvivesEtcdLeaderFailover(t *testing.T) {
 	p.Etcd().RestartNode(leader)
 }
 
-// TestWatchModeFewerEtcdRanges is the acceptance criterion as a test:
-// for one identical job, the watch control plane issues strictly fewer
-// etcd Range scans than the poll control plane.
+// maxRangesPerJob bounds the etcd Range scans one completed
+// single-learner job may cost the control plane. The watch-driven
+// Guardian and LCM spent 5 when the fixed-interval poll loops they
+// replaced spent 100; the bound leaves headroom for the initial lists
+// and backstop re-lists but fails a regression toward re-listing.
+const maxRangesPerJob = 10
+
+// TestWatchModeFewerEtcdRanges: one completed single-learner job on the
+// default platform stays within maxRangesPerJob etcd Range scans.
 func TestWatchModeFewerEtcdRanges(t *testing.T) {
 	skipIfShort(t)
-	ranges := func(mode string) uint64 {
-		p := newTestPlatform(t, Options{ControlPlane: mode})
-		client := p.Client("ab")
-		m := testManifest(t, p, "ab", 1)
-		id, err := client.Submit(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := client.WaitForState(id, StateCompleted, 3*time.Hour); err != nil {
-			t.Fatalf("%s-mode job: %v", mode, err)
-		}
-		return p.Etcd().RangeOps()
+	p := newTestPlatform(t, Options{})
+	client := p.Client("ab")
+	id, err := client.Submit(testManifest(t, p, "ab", 1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	watch := ranges("watch")
-	poll := ranges("poll")
-	t.Logf("etcd ranges per job: watch=%d poll=%d", watch, poll)
-	if watch >= poll {
-		t.Fatalf("watch mode issued %d ranges, poll mode %d — watch must be strictly fewer", watch, poll)
+	if _, err := client.WaitForState(id, StateCompleted, 3*time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	ranges := p.Etcd().RangeOps()
+	t.Logf("etcd ranges per job: %d", ranges)
+	if ranges > maxRangesPerJob {
+		t.Fatalf("job cost %d etcd ranges, want <= %d", ranges, maxRangesPerJob)
 	}
 }
 
@@ -257,28 +258,9 @@ func TestStoreMetricsExposed(t *testing.T) {
 		t.Fatal("etcd client-op counters not recorded")
 	}
 	if got := reg.Counter("etcd_client_ops", "watch"); got == 0 {
-		t.Fatal("watch subscriptions not counted (watch mode should open them)")
+		t.Fatal("watch subscriptions not counted (the control plane should open them)")
 	}
 	if p.Etcd().RangeOps() == 0 {
 		t.Fatal("RangeOps counter never moved (the initial list should count)")
-	}
-}
-
-// TestPollControlPlaneStillWorks: the pre-refactor mode stays a fully
-// functional escape hatch.
-func TestPollControlPlaneStillWorks(t *testing.T) {
-	skipIfShort(t)
-	p := newTestPlatform(t, Options{ControlPlane: "poll"})
-	client := p.Client("old")
-	m := testManifest(t, p, "old", 1)
-	id, err := client.Submit(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.WaitForState(id, StateCompleted, 3*time.Hour); err != nil {
-		t.Fatalf("poll-mode job failed: %v", err)
-	}
-	if got := p.Metrics().Counter("guardian_monitor_resumes"); got != 0 {
-		t.Fatalf("poll mode used the watch path (resumes=%v)", got)
 	}
 }

@@ -37,18 +37,15 @@ import (
 // (configurable) number of times before the Guardian gives up").
 const DefaultMaxDeployAttempts = 3
 
-// monitorPoll is the Guardian's status-aggregation cadence in poll mode.
-const monitorPoll = 500 * time.Millisecond
-
-// watchTick is the watch-mode cadence for conditions with no event
+// watchTick is the monitor's cadence for conditions with no event
 // stream: gang preemption, the results-stored NFS marker, and (as a
 // shield against a lost change-feed event) the halt check. None of
 // these touch etcd.
 const watchTick = time.Second
 
-// watchRelist is the watch-mode liveness backstop: a full etcd re-list
+// watchRelist is the monitor's liveness backstop: a full etcd re-list
 // of learner statuses at a long interval, guarding against a wedged
-// watch the way the poll loop did every 500ms.
+// watch.
 const watchRelist = 15 * time.Second
 
 // Params configures one job's Guardian.
@@ -62,11 +59,6 @@ type Params struct {
 	// setup, API round trips). It also widens the window in which
 	// crash-injection tests can catch the Guardian mid-deployment.
 	StepDelay time.Duration
-	// ControlPlane selects the monitoring strategy:
-	// core.ControlPlaneWatch (default) reacts to revision-ordered etcd
-	// watch events and resumes from the journaled revision after a
-	// restart; core.ControlPlanePoll is the pre-refactor 500ms loop.
-	ControlPlane string
 }
 
 // Resource naming conventions (name-addressed so a restarted Guardian
@@ -99,7 +91,7 @@ type journal struct {
 	// rollback is defensive and deletes by name regardless).
 	Steps []string `json:"steps"`
 	// MonitorRev is the last etcd revision whose learner-status events
-	// the watch-mode monitor folded into the job state; a restarted
+	// the monitor folded into the job state; a restarted
 	// Guardian resumes its watch exactly after it — no missed and no
 	// re-processed transitions.
 	MonitorRev uint64 `json:"monitor_rev,omitempty"`
@@ -391,28 +383,15 @@ func resolveGPU(d *core.Deps, m *manifest.Manifest) gpu.Spec {
 	return d.DefaultGPU
 }
 
-// monitor aggregates learner statuses from etcd into the job state in
-// MongoDB until the job reaches a terminal state, then tears down. The
-// strategy is selected by Params.ControlPlane: event-driven watches
-// (default) or the pre-refactor poll loop.
-func monitor(ctx *kube.ContainerCtx, p Params) int {
-	if p.ControlPlane == core.ControlPlanePoll {
-		return monitorByPoll(ctx, p)
-	}
-	return monitorByWatch(ctx, p)
-}
-
 // settle folds the aggregated learner statuses into the job state,
 // driving the terminal transitions. done=true means the Guardian's work
 // is finished and the monitor must exit with the returned code.
 //
-// announced remembers the non-terminal state this monitor last wrote.
-// The poll loop passes a fresh value each sweep (preserving its
-// timestamped same-state refresh); the watch loop persists it across
-// wakeups, so settling is write-free while nothing changed — a monitor
-// that re-wrote PROCESSING on every wakeup would emit a metadata change
-// event, observe its own event on the job feed, and wake again: a
-// self-feeding storm.
+// announced remembers the non-terminal state this monitor last wrote
+// and persists across wakeups, so settling is write-free while nothing
+// changed — a monitor that re-wrote PROCESSING on every wakeup would
+// emit a metadata change event, observe its own event on the job feed,
+// and wake again: a self-feeding storm.
 func settle(p Params, statuses []types.StatusUpdate, announced *types.JobState) (code int, done bool) {
 	d := p.Deps
 	training, completed, failed := 0, 0, 0
@@ -561,47 +540,12 @@ func checkGang(p Params, relayed *bool, acks map[int]bool) (code int, done bool)
 	return 0, false
 }
 
-// monitorByPoll is the pre-refactor monitor: a full etcd Range of the
-// learner statuses every 500ms, kept behind ControlPlane "poll" for A/B
-// comparison. Eviction intents and acks ride the same sweep.
-func monitorByPoll(ctx *kube.ContainerCtx, p Params) int {
-	d := p.Deps
-	evictRelayed := false
-	for {
-		select {
-		case <-ctx.Killed():
-			return 137
-		default:
-		}
-
-		rec, err := d.GetJob(p.JobID)
-		if err == nil && rec.State == types.StateHalted {
-			return handleHalt(p)
-		}
-
-		statuses, acks, err := readStatuses(d, p.JobID)
-		if code, done := checkGang(p, &evictRelayed, acks); done {
-			return code
-		}
-		if err == nil {
-			// A fresh announced value per sweep keeps the pre-refactor
-			// timestamped same-state refresh.
-			var announced types.JobState
-			if code, done := settle(p, statuses, &announced); done {
-				return code
-			}
-		}
-
-		if !ctx.Sleep(monitorPoll) {
-			return 137
-		}
-	}
-}
-
-// monitorByWatch is the event-driven monitor: a list-then-watch state
-// machine over the job's learner-status prefix. Status events are folded
-// into an aggregated per-learner view as they commit; the last folded
-// revision (and the view itself) is journaled, so a restarted Guardian
+// monitor aggregates learner statuses from etcd into the job state in
+// MongoDB until the job reaches a terminal state, then tears down. It is
+// a list-then-watch state machine over the job's learner-status prefix.
+// Status events are folded into an aggregated per-learner view as they
+// commit; the last folded revision (and the view itself) is journaled,
+// so a restarted Guardian
 // resumes its watch exactly where the predecessor stopped — etcd is
 // re-listed only when the saved revision has been compacted past, and
 // once per watchRelist as a liveness backstop. Halts arrive on the
@@ -609,7 +553,7 @@ func monitorByPoll(ctx *kube.ContainerCtx, p Params) int {
 // channel with their acks on the learner watch; gang preemption and the
 // results-stored marker, which have no event stream, ride the 1s tick
 // (none of these touch etcd).
-func monitorByWatch(ctx *kube.ContainerCtx, p Params) int {
+func monitor(ctx *kube.ContainerCtx, p Params) int {
 	d := p.Deps
 	prefix := types.LearnerStatusPrefix(p.JobID)
 	count := func(name string) {
@@ -842,31 +786,6 @@ func monitorByWatch(ctx *kube.ContainerCtx, p Params) int {
 			}
 		}
 	}
-}
-
-// readStatuses loads the latest per-learner status updates and eviction
-// acks from etcd (events.Envelope values; legacy raw StatusUpdate JSON
-// still decodes).
-func readStatuses(d *core.Deps, jobID string) ([]types.StatusUpdate, map[int]bool, error) {
-	kvs, err := d.Etcd.Range(types.LearnerStatusPrefix(jobID))
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]types.StatusUpdate, 0, len(kvs))
-	acks := make(map[int]bool)
-	for _, kv := range kvs {
-		env, ok := events.Decode([]byte(kv.Value))
-		if !ok {
-			continue
-		}
-		switch env.Kind {
-		case events.KindLearnerStatus:
-			out = append(out, env.StatusUpdate())
-		case events.KindEvictionAck:
-			acks[env.Learner] = true
-		}
-	}
-	return out, acks, nil
 }
 
 // resultsStored checks the helper's stored marker on the shared volume.

@@ -136,8 +136,8 @@ type controllerJournal struct {
 }
 
 // runController watches learner status and exit files on NFS and mirrors
-// them into etcd as events.Envelope records, where the Guardian
-// aggregates them (polling or watching, per Options.ControlPlane).
+// them into etcd as events.Envelope records, where the Guardian's watch
+// aggregates them.
 // Decoupling via etcd is the paper's mechanism for reliable status
 // updates.
 func runController(ctx *kube.ContainerCtx, p Params) int {

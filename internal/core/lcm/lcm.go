@@ -36,14 +36,10 @@ const (
 // counter is what bounds retries.
 const guardianBackoffLimit = 25
 
-// sweepInterval is the cadence of the QUEUED-job recovery sweep in
-// poll mode.
-const sweepInterval = 2 * time.Second
-
-// watchBackstop is the watch-mode liveness sweep cadence: the change
-// feed drives deployment and GC, and a full sweep at this long interval
-// catches anything a lost event (or a Guardian still unwinding at GC
-// time) would otherwise strand.
+// watchBackstop is the liveness sweep cadence: the change feed drives
+// deployment and GC, and a full sweep at this long interval catches
+// anything a lost event (or a Guardian still unwinding at GC time) would
+// otherwise strand.
 const watchBackstop = 10 * time.Second
 
 // DeployRequest asks the LCM to take over a queued job.
@@ -73,10 +69,6 @@ type Service struct {
 	GuardianStepDelay time.Duration
 	// MaxDeployAttempts is forwarded to Guardians.
 	MaxDeployAttempts int
-	// ControlPlane selects watch-driven (core.ControlPlaneWatch,
-	// default) or poll-driven operation; it is also forwarded to the
-	// Guardians this LCM creates.
-	ControlPlane string
 
 	mu     sync.Mutex
 	gcDone map[string]bool // jobs already garbage-collected
@@ -98,48 +90,29 @@ func (s *Service) ContainerSpec() kube.ContainerSpec {
 	}
 }
 
-// run registers the instance on the RPC fabric, performs the recovery
-// sweep for jobs accepted but never deployed, and serves until killed.
-func (s *Service) run(ctx *kube.ContainerCtx) int {
-	reg := s.deps.Bus.Register(core.LCMService, ctx.PodName(), s.handle)
-	defer reg.Deregister()
-	if s.ControlPlane == core.ControlPlanePoll {
-		return s.runPoll(ctx)
-	}
-	return s.runWatch(ctx)
-}
-
-// runPoll is the pre-refactor loop: re-list every job each sweep.
+// run registers the instance on the RPC fabric and drives deployment
+// and garbage collection from the jobs collection's change feed until
+// killed.
 //
 // Recovery sweep: any job still QUEUED (e.g. the API durably accepted
 // it and then the LCM crashed before deploying) gets a Guardian now —
-// "submitted jobs are never lost". The sweep repeats so QUEUED jobs are
-// picked up even if a deploy races a crash. Garbage collection — "the
-// deployment, monitoring, garbage collection, and user-initiated
-// termination of the job" — runs in the same loop: terminal jobs'
-// leftover cluster resources are reaped as a backstop behind the
-// Guardian's own teardown.
-func (s *Service) runPoll(ctx *kube.ContainerCtx) int {
-	for {
-		s.sweepQueued()
-		s.garbageCollect()
-		if !ctx.Sleep(sweepInterval) {
-			return 0
-		}
-	}
-}
-
-// runWatch drives deployment and garbage collection from the jobs
-// collection's change feed: one initial recovery sweep (the "list" of
-// list-then-watch), then a Guardian per QUEUED record and a reap per
-// terminal record as the transitions commit — no per-sweep re-list of
-// every job. A full sweep remains at a long interval as the liveness
-// backstop.
-func (s *Service) runWatch(ctx *kube.ContainerCtx) int {
+// "submitted jobs are never lost". This is the "list" of
+// list-then-watch; afterwards a Guardian is deployed per QUEUED record
+// and a reap runs per terminal record as the transitions commit, with no
+// per-sweep re-list of every job. Garbage collection — "the deployment,
+// monitoring, garbage collection, and user-initiated termination of the
+// job" — reaps terminal jobs' leftover cluster resources as a backstop
+// behind the Guardian's own teardown. A full sweep remains at a long
+// interval as the liveness backstop.
+//
+// The feed fails only once the jobs collection is closed; the LCM then
+// exits non-zero and its Deployment restarts it.
+func (s *Service) run(ctx *kube.ContainerCtx) int {
+	reg := s.deps.Bus.Register(core.LCMService, ctx.PodName(), s.handle)
+	defer reg.Deregister()
 	feed, cancel, err := s.deps.Jobs().Watch()
 	if err != nil {
-		// Change feed unavailable: degrade to polling rather than dying.
-		return s.runPoll(ctx)
+		return 1
 	}
 	defer cancel()
 
@@ -303,7 +276,6 @@ func (s *Service) deploy(jobID string) (DeployResponse, error) {
 			Manifest:          m,
 			MaxDeployAttempts: s.MaxDeployAttempts,
 			StepDelay:         s.GuardianStepDelay,
-			ControlPlane:      s.ControlPlane,
 		})},
 		RestartPolicy: kube.RestartNever,
 	}

@@ -2,6 +2,7 @@ package lcm
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -194,4 +195,33 @@ func TestGarbageCollectReapsTerminalJobResources(t *testing.T) {
 	if _, err := d.NFS.Volume(guardian.VolumeName(id2)); err != nil {
 		t.Fatal("live job's volume reaped")
 	}
+}
+
+// TestRunExitsWhenJobsFeedUnavailable: an LCM whose jobs collection is
+// closed cannot open its change feed, so it must exit non-zero promptly
+// (and let its Deployment restart it) rather than serve without a feed.
+func TestRunExitsWhenJobsFeedUnavailable(t *testing.T) {
+	d, clk := newTestDeps(t)
+	d.Mongo.Close()
+	pod, err := d.Kube.CreatePod(kube.PodSpec{
+		Name:          "lcm-0",
+		RestartPolicy: kube.RestartNever,
+		Containers:    []kube.ContainerSpec{New(d).ContainerSpec()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := clk.Now().Add(time.Minute)
+	for clk.Now().Before(deadline) {
+		select {
+		case <-pod.Done():
+			if exits, code, _ := pod.ExitInfo("lcm"); exits != 1 || code == 0 {
+				t.Fatalf("lcm exits=%d code=%d, want one non-zero exit", exits, code)
+			}
+			return
+		default:
+		}
+		clk.Sleep(100 * time.Millisecond)
+	}
+	t.Fatal("lcm kept running without a jobs change feed")
 }

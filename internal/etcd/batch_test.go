@@ -236,7 +236,7 @@ func TestBatchingPreservesZeroProposalReads(t *testing.T) {
 	}
 }
 
-// TestWriteModeValidation covers the A/B escape hatches' input checking.
+// TestWriteModeValidation covers the oracle modes' input checking.
 func TestWriteModeValidation(t *testing.T) {
 	clk := clock.NewSim()
 	defer clk.Close()
@@ -254,16 +254,10 @@ func TestWriteModeValidation(t *testing.T) {
 	if s.WriteMode() != WriteModeSingle || s.Replication() != ReplicationStopWait {
 		t.Fatalf("modes = (%q,%q)", s.WriteMode(), s.Replication())
 	}
-	if err := s.SetWriteMode("bogus"); err == nil {
-		t.Fatal("SetWriteMode accepted unknown mode")
-	}
-	if err := s.SetWriteMode(WriteModeBatch); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Put("/mode/k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	if v, found, _ := s.Get("/mode/k"); !found || v != "v" {
-		t.Fatal("write under switched mode not readable")
+		t.Fatal("write under single/stopwait modes not readable")
 	}
 }

@@ -162,8 +162,7 @@ type result struct {
 	events []Event
 }
 
-// Read modes selectable via SetReadMode (Options.ReadMode at the
-// platform layer).
+// Read modes selectable via SetReadMode.
 const (
 	// ReadModeLease (the default) serves Get/Range/read-only Txn
 	// linearizably at amortized quorum cost: concurrent leader
@@ -175,13 +174,10 @@ const (
 	ReadModeLease = "leaseread"
 	// ReadModeReadIndex serves reads from a local replica's MVCC
 	// snapshot after a dedicated leader read-index round: linearizable,
-	// zero log entries, exactly one heartbeat round per read — the PR 5
-	// behavior, kept as the A/B escape hatch for lease reads.
+	// zero log entries, exactly one heartbeat round per read — the
+	// pre-lease behavior, kept as the oracle lease reads are checked
+	// against.
 	ReadModeReadIndex = "readindex"
-	// ReadModePropose sequences every read through the Raft log as a
-	// full proposal — the pre-read-index behavior, kept as the A/B
-	// escape hatch.
-	ReadModePropose = "propose"
 	// ReadModeSerializable answers from the freshest live replica's
 	// local state with no leadership round at all: bounded staleness
 	// (the replica may lag acknowledged writes), never wrongness (only
@@ -189,8 +185,7 @@ const (
 	ReadModeSerializable = "serializable"
 )
 
-// Write modes selectable via SetWriteMode (Options.WriteMode at the
-// platform layer).
+// Write modes selectable at construction (StoreOptions.WriteMode).
 const (
 	// WriteModeBatch (the default) coalesces concurrent writes into one
 	// batched log entry per replication round — group commit. A batch
@@ -199,12 +194,14 @@ const (
 	// latency.
 	WriteModeBatch = "batch"
 	// WriteModeSingle proposes every write as its own log entry — the
-	// pre-batching behavior, kept as the A/B escape hatch.
+	// pre-batching behavior, kept as the oracle group commit is checked
+	// against.
 	WriteModeSingle = "single"
 )
 
-// Replication modes selectable at construction (Options.Replication at
-// the platform layer); they map onto raft.Config's pipeline window.
+// Replication modes selectable at construction
+// (StoreOptions.Replication); they map onto raft.Config's pipeline
+// window.
 const (
 	// ReplicationPipeline (the default) keeps a bounded in-flight window
 	// of AppendEntries per follower, advancing optimistically and
@@ -212,7 +209,7 @@ const (
 	ReplicationPipeline = "pipeline"
 	// ReplicationStopWait re-ships the full pending log suffix every
 	// broadcast and advances only on acks — the pre-pipelining behavior,
-	// kept as the A/B escape hatch.
+	// kept as the oracle pipelining is checked against.
 	ReplicationStopWait = "stopwait"
 )
 
@@ -246,7 +243,7 @@ type waiterStripe struct {
 }
 
 // opCounter tallies one operation kind, successes and failures apart:
-// a timed-out Range must not inflate the watch-vs-poll comparison.
+// a timed-out Range must not inflate the ranges-per-job count.
 type opCounter struct {
 	ok   atomic.Uint64
 	fail atomic.Uint64
@@ -272,7 +269,7 @@ type Store struct {
 	closed       atomic.Bool
 	stopCh       chan struct{}
 	readMode     atomic.Value // string; one of the ReadMode constants
-	writeMode    atomic.Value // string; one of the WriteMode constants
+	writeMode    string       // fixed at construction
 	replication  string       // fixed at construction
 
 	// Group-commit state: writers append to batchQ and kick the flusher,
@@ -286,13 +283,12 @@ type Store struct {
 	batches     atomic.Uint64
 	batchedCmds atomic.Uint64
 
-	// Client-operation counters, split by kind: the control-plane
-	// benchmarks compare watch- vs poll-driven consumers by how many
-	// Range scans they cost per job.
+	// Client-operation counters, split by kind: the control plane's
+	// cost is measured by how many Range scans it spends per job.
 	cRange, cPut, cGet, cDelete, cCAS, cTxn, cWatch opCounter
 
-	// proposals counts entries actually submitted to the Raft log — the
-	// numerator of the proposals-per-read comparison across read modes.
+	// proposals counts entries actually submitted to the Raft log;
+	// reads in every mode leave it untouched.
 	proposals atomic.Uint64
 
 	// leaderCache short-circuits the per-op leader scan; dropLeader
@@ -364,6 +360,7 @@ func NewWithOptions(n int, clk clock.Clock, o StoreOptions) (*Store, error) {
 		cluster:     raft.NewCluster(n, cfg),
 		timeout:     defaultRequestTimeout,
 		shards:      o.Shards,
+		writeMode:   o.WriteMode,
 		replication: o.Replication,
 		stopCh:      make(chan struct{}),
 		batchKick:   make(chan struct{}, 1),
@@ -377,7 +374,6 @@ func NewWithOptions(n int, clk clock.Clock, o StoreOptions) (*Store, error) {
 	}
 	s.compactEvery.Store(defaultCompactEvery)
 	s.readMode.Store(ReadModeLease) // matches raft's lease/coalesce defaults
-	s.writeMode.Store(o.WriteMode)
 	for i := range s.waiters {
 		s.waiters[i].m = make(map[string]chan result)
 	}
@@ -397,7 +393,7 @@ func (s *Store) SetReadMode(mode string) error {
 	switch mode {
 	case "":
 		mode = ReadModeLease
-	case ReadModeLease, ReadModeReadIndex, ReadModePropose, ReadModeSerializable:
+	case ReadModeLease, ReadModeReadIndex, ReadModeSerializable:
 	default:
 		return fmt.Errorf("etcd: unknown read mode %q", mode)
 	}
@@ -413,26 +409,8 @@ func (s *Store) ReadMode() string {
 	return s.readMode.Load().(string)
 }
 
-// SetWriteMode selects how writes reach the Raft log: WriteModeBatch
-// coalesces concurrent writes into one entry per replication round,
-// WriteModeSingle proposes each write on its own ("" selects the
-// default, WriteModeBatch).
-func (s *Store) SetWriteMode(mode string) error {
-	switch mode {
-	case "":
-		mode = WriteModeBatch
-	case WriteModeBatch, WriteModeSingle:
-	default:
-		return fmt.Errorf("etcd: unknown write mode %q", mode)
-	}
-	s.writeMode.Store(mode)
-	return nil
-}
-
-// WriteMode reports the store's current write mode.
-func (s *Store) WriteMode() string {
-	return s.writeMode.Load().(string)
-}
+// WriteMode reports the store's write mode (fixed at boot).
+func (s *Store) WriteMode() string { return s.writeMode }
 
 // Replication reports the cluster's replication mode (fixed at boot).
 func (s *Store) Replication() string { return s.replication }
@@ -501,10 +479,10 @@ func (s *Store) Instrument(reg *metrics.Registry) {
 
 // finishOp tallies one completed client operation of the given kind.
 // Successes and failures are counted apart — counting before the
-// attempt inflated the watch-vs-poll RangeOps comparison with ops that
-// then timed out. Operations that went through the log but lost their
-// application-level race (CAS conflict, Txn else-branch) completed
-// successfully for accounting purposes.
+// attempt would inflate RangeOps with ops that then timed out.
+// Operations that went through the log but lost their application-level
+// race (CAS conflict, Txn else-branch) completed successfully for
+// accounting purposes.
 func (s *Store) finishOp(kind string, c *opCounter, err error) {
 	if err != nil {
 		c.fail.Add(1)
@@ -520,12 +498,11 @@ func (s *Store) finishOp(kind string, c *opCounter, err error) {
 }
 
 // RangeOps reports how many Range scans clients have completed — the
-// denominator of the watch-vs-poll control-plane comparison.
+// control plane's ranges-per-job cost.
 func (s *Store) RangeOps() uint64 { return s.cRange.ok.Load() }
 
 // Proposals reports how many commands were submitted to the Raft log.
-// Read-index reads leave it untouched; propose-mode reads cost one (or
-// more, on leadership churn) per operation.
+// Reads leave it untouched.
 func (s *Store) Proposals() uint64 { return s.proposals.Load() }
 
 // OpCounts reports every client-operation counter by kind; "<kind>" is
@@ -703,8 +680,8 @@ func (s *Store) Put(key, value string) (rev uint64, err error) {
 }
 
 // Get returns the value stored under key. found reports existence. In
-// the default read-index mode (and in propose mode) the read is
-// linearizable; in serializable mode it may lag acknowledged writes.
+// the lease and read-index modes the read is linearizable; in
+// serializable mode it may lag acknowledged writes.
 func (s *Store) Get(key string) (value string, found bool, err error) {
 	res, err := s.read(s.ReadMode(), command{Op: opGet, Key: key})
 	s.finishOp("get", &s.cGet, err)
@@ -750,8 +727,8 @@ func (s *Store) CompareAndSwap(key, prev string, prevExists bool, newValue strin
 // entry — since there is nothing to sequence.
 func (s *Store) Txn(cmps []Cmp, then, orElse []TxnOp) (succeeded bool, rev uint64, err error) {
 	var res result
-	if mode := s.ReadMode(); mode != ReadModePropose && len(then) == 0 && len(orElse) == 0 {
-		res, err = s.read(mode, command{Op: opTxn, Cmps: cmps})
+	if len(then) == 0 && len(orElse) == 0 {
+		res, err = s.read(s.ReadMode(), command{Op: opTxn, Cmps: cmps})
 	} else {
 		res, err = s.propose(command{Op: opTxn, Cmps: cmps, Then: then, Else: orElse})
 	}
@@ -879,14 +856,10 @@ func (s *Store) replicaAt(rev uint64) *stateMachine {
 // round coalescing live inside raft.Node.ReadIndex, toggled by
 // SetReadMode.
 func (s *Store) read(mode string, cmd command) (result, error) {
-	switch mode {
-	case ReadModePropose:
-		return s.propose(cmd)
-	case ReadModeSerializable:
+	if mode == ReadModeSerializable {
 		return s.serializableRead(cmd)
-	default:
-		return s.readIndexRead(cmd)
 	}
+	return s.readIndexRead(cmd)
 }
 
 // readIndexRead serves cmd linearizably without a log entry: obtain a
@@ -1167,26 +1140,18 @@ func (s *Store) pause(deadline time.Time) bool {
 	return s.clk.Now().Before(deadline)
 }
 
-// propose routes cmd through the Raft log and waits for its application.
-// In the default batch write mode, mutations join the group-commit queue
-// (one log entry per replication round); single mode and read commands
-// propose individually.
+// propose routes a mutation through the Raft log and waits for its
+// application. In the default batch write mode it joins the group-commit
+// queue (one log entry per replication round); single mode proposes it
+// individually.
 func (s *Store) propose(cmd command) (result, error) {
 	if s.closed.Load() {
 		return result{}, ErrClosed
 	}
-	if s.WriteMode() != WriteModeSingle {
-		switch cmd.Op {
-		case opPut, opDelete, opCAS, opTxn:
-			return s.proposeBatched(cmd)
-		}
-		// Propose-mode reads (opGet/opRange and read-only opTxn reach
-		// here only in that mode) stay one-entry-per-op: their results
-		// depend on snapshot state that batch application does not
-		// overlay for range scans, and keeping them singular preserves
-		// the 1-proposal-per-read baseline the read-mode A/B measures.
+	if s.writeMode == WriteModeSingle {
+		return s.proposeSingle(cmd)
 	}
-	return s.proposeSingle(cmd)
+	return s.proposeBatched(cmd)
 }
 
 // proposeBatched enqueues cmd for the group-commit flusher and waits for
@@ -1411,41 +1376,6 @@ func (s *Store) ReadsRouted() map[int]uint64 {
 	return out
 }
 
-// backpressureQueueNominal is the group-commit queue depth treated as
-// full saturation by Backpressure: past one batch-window's worth of
-// queued commands, admission layers should shed or delay background
-// load.
-const backpressureQueueNominal = 64
-
-// Backpressure folds the write path's two congestion gauges into one
-// signal in [0, 1]: the leader's deepest raft pipeline window as a
-// fraction of its entry cap (raft_inflight_entries saturating means
-// followers are not acking fast enough) and the group-commit queue
-// depth against its nominal capacity (etcd_batch_queue_depth growing
-// means rounds are not draining the queue). The max of the two is the
-// binding constraint; 1 means fully saturated.
-func (s *Store) Backpressure() float64 {
-	var pressure float64
-	if l := s.leader(); l != nil {
-		if entries, limit := l.MaxInflight(); limit > 0 {
-			pressure = float64(entries) / float64(limit)
-		}
-	}
-	s.batchMu.Lock()
-	depth := len(s.batchQ)
-	s.batchMu.Unlock()
-	if q := float64(depth) / backpressureQueueNominal; q > pressure {
-		pressure = q
-	}
-	if pressure > 1 {
-		pressure = 1
-	}
-	if reg := s.mtr.Load(); reg != nil {
-		reg.SetGauge("etcd_backpressure", pressure)
-	}
-	return pressure
-}
-
 // stateMachine is the deterministic automaton each replica runs: a
 // sharded MVCC engine in external-revision mode (the Raft index is the
 // revision) plus the exactly-once dedup ledger. Its apply loop is
@@ -1569,13 +1499,10 @@ func (m *stateMachine) apply(idx uint64, cmd command) result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	// Exactly-once: a retried proposal may appear twice in the log; only
-	// the first occurrence mutates state. (Reads are harmless to repeat.)
+	// the first occurrence mutates state.
 	if first, seen := m.dedup[cmd.ReqID]; seen && first != idx {
-		switch cmd.Op {
-		case opPut, opDelete, opCAS, opTxn:
-			_ = m.eng.AdvanceFloor(idx)
-			return result{rev: first, ok: true}
-		}
+		_ = m.eng.AdvanceFloor(idx)
+		return result{rev: first, ok: true}
 	}
 	m.dedup[cmd.ReqID] = idx
 
@@ -1628,19 +1555,10 @@ func (m *stateMachine) apply(idx uint64, cmd command) result {
 			ops = append(ops, store.Op{Kind: kind, Key: op.Key, Value: op.Value})
 		}
 		applyOps(ops)
-	case opGet:
-		if v, _, ok := m.eng.Get(cmd.Key); ok {
-			res.val, res.found = v.(string), true
-		}
-	case opRange:
-		for _, kv := range m.eng.ScanLatest(cmd.Key) {
-			val, _ := kv.Value.(string)
-			res.kvs = append(res.kvs, KV{Key: kv.Key, Value: val, Rev: kv.Rev})
-		}
 	}
 	// Raise the applied floor only now, after any mutation is installed
-	// (ApplyAt raises it itself, post-install; this covers reads, failed
-	// CAS and empty branches). Raising it before the write would let a
+	// (ApplyAt raises it itself, post-install; this covers failed CAS
+	// and empty branches). Raising it before the write would let a
 	// WaitApplied reader wake at this index and read the pre-write state
 	// — a stale read after an acknowledged write. The WatchFrom backfill
 	// also compares this floor against the hub's delivery cursor, so
@@ -1697,11 +1615,8 @@ func (m *stateMachine) applyBatch(idx uint64, subs []command) ([]result, []Event
 		// Exactly-once across wrapper re-proposals: only the first
 		// occurrence of a sub-command mutates state.
 		if first, seen := m.dedup[sub.ReqID]; seen && first != idx {
-			switch sub.Op {
-			case opPut, opDelete, opCAS, opTxn:
-				results[i] = result{rev: first, ok: true}
-				continue
-			}
+			results[i] = result{rev: first, ok: true}
+			continue
 		}
 		m.dedup[sub.ReqID] = idx
 
@@ -1735,12 +1650,6 @@ func (m *stateMachine) applyBatch(idx uint64, subs []command) ([]result, []Event
 				}
 				stage(store.Op{Kind: kind, Key: op.Key, Value: op.Value})
 			}
-		case opGet:
-			// Reads are not batched by propose(), but stay correct if a
-			// wrapper carries one: answer through the overlay.
-			if v, ok := lookup(sub.Key); ok {
-				res.val, res.found = v, true
-			}
 		}
 		results[i] = res
 	}
@@ -1755,7 +1664,7 @@ func (m *stateMachine) applyBatch(idx uint64, subs []command) ([]result, []Event
 			})
 		}
 	}
-	// All-reads / all-deduped batches still occupy the index.
+	// All-deduped batches still occupy the index.
 	_ = m.eng.AdvanceFloor(idx)
 	return results, events
 }

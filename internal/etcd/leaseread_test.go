@@ -2,7 +2,6 @@ package etcd
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -14,8 +13,7 @@ import (
 // The tests in this file pin the facade half of the quorum-amortized
 // read path: the leaseread default must stay exactly as linearizable
 // as readindex under skew and churn, reads must spread across replicas
-// by load, the leader cache must never outlive a leadership change,
-// and Backpressure must rise when the write window saturates.
+// by load, and the leader cache must never outlive a leadership change.
 
 // putRetry keeps writing until the store acknowledges — failovers in
 // the middle of a schedule make individual Puts fail legitimately.
@@ -239,72 +237,6 @@ func TestLeaderCacheReuseAndInvalidation(t *testing.T) {
 		clk.Sleep(20 * time.Millisecond)
 	}
 	t.Fatal("no successor leader after crash")
-}
-
-// TestBackpressureSaturates: with followers cut off, the stop-and-wait
-// window (cap 1) jams and queued group-commit writes pile up —
-// Backpressure must report saturation, then fall back near zero once
-// the cluster heals and drains.
-func TestBackpressureSaturates(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
-	s, err := NewWithOptions(3, clk, StoreOptions{Replication: ReplicationStopWait})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	reg := metrics.NewRegistry()
-	s.Instrument(reg)
-
-	if !putRetry(s, clk, "/bp/warm", "v", 10*time.Second) {
-		t.Fatal("warmup write failed")
-	}
-	if bp := s.Backpressure(); bp > 0.2 {
-		t.Fatalf("idle backpressure = %v, want ~0", bp)
-	}
-
-	lead := s.LeaderID()
-	for _, id := range s.Nodes() {
-		if id != lead {
-			s.PartitionNode(id)
-		}
-	}
-	const writers = 80
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _ = s.Put(fmt.Sprintf("/bp/k%d", i), "v")
-		}(i)
-	}
-	// Poll rather than sample once: the writer goroutines may not have
-	// enqueued yet when a fixed sleep elapses (the virtual clock cannot
-	// see goroutines that have not reached a clock primitive).
-	satBy := clk.Now().Add(30 * time.Second)
-	for s.Backpressure() < 0.9 && clk.Now().Before(satBy) {
-		clk.Sleep(50 * time.Millisecond)
-	}
-	if bp := s.Backpressure(); bp < 0.9 {
-		t.Fatalf("saturated backpressure = %v, want >= 0.9", bp)
-	}
-	if g := reg.Gauge("etcd_backpressure"); g < 0.9 {
-		t.Fatalf("etcd_backpressure gauge = %v, want >= 0.9", g)
-	}
-
-	for _, id := range s.Nodes() {
-		s.HealNode(id)
-	}
-	wg.Wait()
-	// Drained: the window empties and the queue is gone.
-	deadline := clk.Now().Add(10 * time.Second)
-	for clk.Now().Before(deadline) {
-		if s.Backpressure() < 0.2 {
-			return
-		}
-		clk.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("backpressure stuck at %v after heal", s.Backpressure())
 }
 
 // skipIfRaceShort skips the heavyweight quickcheck run in -short mode.

@@ -13,8 +13,7 @@ import (
 // The tests in this file pin the read-index read path: Get/Range served
 // from local MVCC snapshots must stay linearizable through leader
 // partitions (never returning a value older than an acknowledged
-// write), propose mode must agree with it answer-for-answer, and
-// serializable mode must be stale-at-worst, wrong-never.
+// write), and serializable mode must be stale-at-worst, wrong-never.
 
 func newModeStore(t *testing.T, n int, mode string) (*Store, *clock.Sim) {
 	t.Helper()
@@ -25,14 +24,14 @@ func newModeStore(t *testing.T, n int, mode string) (*Store, *clock.Sim) {
 	return s, clk
 }
 
-// TestReadModeValidation: the four modes are accepted ("" selects the
+// TestReadModeValidation: the three modes are accepted ("" selects the
 // default, leaseread), anything else is rejected.
 func TestReadModeValidation(t *testing.T) {
 	s, _ := newTestStore(t, 1)
 	if got := s.ReadMode(); got != ReadModeLease {
 		t.Fatalf("default read mode = %q, want %q", got, ReadModeLease)
 	}
-	for _, mode := range []string{ReadModeLease, ReadModeReadIndex, ReadModePropose, ReadModeSerializable, ""} {
+	for _, mode := range []string{ReadModeLease, ReadModeReadIndex, ReadModeSerializable, ""} {
 		if err := s.SetReadMode(mode); err != nil {
 			t.Fatalf("SetReadMode(%q) = %v", mode, err)
 		}
@@ -48,7 +47,7 @@ func TestReadModeValidation(t *testing.T) {
 // TestReadModesAgree: identical workloads answer identically in every
 // mode once the cluster is quiescent — Get, Range and read-only Txn.
 func TestReadModesAgree(t *testing.T) {
-	for _, mode := range []string{ReadModeLease, ReadModeReadIndex, ReadModePropose, ReadModeSerializable} {
+	for _, mode := range []string{ReadModeLease, ReadModeReadIndex, ReadModeSerializable} {
 		t.Run(mode, func(t *testing.T) {
 			s, _ := newModeStore(t, 3, mode)
 			for i := 0; i < 6; i++ {
@@ -85,9 +84,8 @@ func TestReadModesAgree(t *testing.T) {
 	}
 }
 
-// TestReadIndexReadsCostNoProposals: the acceptance criterion's core
-// number — read-index and leaseread Get/Range issue zero Raft
-// proposals, propose-mode reads one each.
+// TestReadIndexReadsCostNoProposals: read-index and leaseread Get/Range
+// issue zero Raft proposals.
 func TestReadIndexReadsCostNoProposals(t *testing.T) {
 	s, _ := newModeStore(t, 3, ReadModeReadIndex)
 	if _, err := s.Put("/p/k", "v"); err != nil {
@@ -110,19 +108,6 @@ func TestReadIndexReadsCostNoProposals(t *testing.T) {
 		if got := s.Proposals() - base; got != 0 {
 			t.Fatalf("%s mode issued %d proposals for %d reads, want 0", mode, got, 2*reads)
 		}
-	}
-
-	if err := s.SetReadMode(ReadModePropose); err != nil {
-		t.Fatal(err)
-	}
-	base := s.Proposals()
-	for i := 0; i < reads; i++ {
-		if _, _, err := s.Get("/p/k"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Proposals() - base; got < reads {
-		t.Fatalf("propose mode issued %d proposals for %d reads, want >= %d", got, reads, reads)
 	}
 }
 
@@ -293,8 +278,8 @@ func TestSerializableRangeOptIn(t *testing.T) {
 }
 
 // TestOpCountsSplitFailures: timed-out reads land in the failure
-// counters, so RangeOps (the watch-vs-poll denominator) only counts
-// scans that actually completed.
+// counters, so RangeOps (the control plane's ranges-per-job count)
+// only counts scans that actually completed.
 func TestOpCountsSplitFailures(t *testing.T) {
 	s, _ := newModeStore(t, 3, ReadModeReadIndex)
 	s.timeout = time.Second

@@ -75,41 +75,6 @@ type Options struct {
 	// and a job forfeits up to a full CheckpointInterval of training.
 	ImmediateEviction bool
 
-	// ReadMode selects how etcd Get/Range (and read-only Txn) are
-	// served: "leaseread" (the default) answers linearizably at
-	// amortized quorum cost — check-quorum leases make reads free while
-	// the leader's lease is live, and coalesced confirmation rounds
-	// resolve every concurrent read at once when it is not;
-	// "readindex" pays one dedicated leader heartbeat round per read
-	// (the pre-lease behavior, kept for A/B comparison — see
-	// BenchmarkEtcdReads); "propose" sequences every read through the
-	// Raft log (the pre-read-index behavior, same A/B role);
-	// "serializable" reads any live replica's local state with bounded
-	// staleness and no quorum requirement.
-	ReadMode string
-
-	// WriteMode selects how etcd writes reach the Raft log: "batch" (the
-	// default) coalesces concurrent writes into one group-commit entry
-	// per replication round; "single" proposes each write as its own
-	// entry (the pre-batching behavior, kept for A/B comparison — see
-	// BenchmarkEtcdWrites).
-	WriteMode string
-
-	// Replication selects the Raft replication discipline: "pipeline"
-	// (the default) keeps a bounded in-flight AppendEntries window per
-	// follower with optimistic nextIndex advance; "stopwait" re-ships
-	// the full pending suffix each broadcast and advances only on acks
-	// (the pre-pipelining behavior, kept for A/B comparison).
-	Replication string
-
-	// ControlPlane selects how the core services observe state changes:
-	// "watch" (the default) drives the Guardian and LCM from
-	// revision-ordered etcd watches and the metadata change feed, with
-	// long-interval polls kept only as a liveness backstop; "poll"
-	// preserves the pre-refactor fixed-interval polling loops for A/B
-	// comparison (see BenchmarkControlPlane).
-	ControlPlane string
-
 	// Tracing enables ("on", the default) or disables ("off") the
 	// deterministic span recorder: job-lifecycle span trees on the
 	// virtual clock, served via /traces/{jobID} and Platform.Trace().
@@ -148,9 +113,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EvictionGracePeriod <= 0 {
 		o.EvictionGracePeriod = 30 * time.Second
-	}
-	if o.ControlPlane == "" {
-		o.ControlPlane = core.ControlPlaneWatch
 	}
 	if o.Tracing == "" {
 		o.Tracing = "on"
@@ -200,10 +162,6 @@ func New(opts Options) (*Platform, error) {
 		p.closePartial()
 		return nil, fmt.Errorf("dlaas: unknown GPU type %q", opts.GPUType)
 	}
-	if opts.ControlPlane != core.ControlPlaneWatch && opts.ControlPlane != core.ControlPlanePoll {
-		p.closePartial()
-		return nil, fmt.Errorf("dlaas: unknown control plane %q", opts.ControlPlane)
-	}
 	switch opts.Tracing {
 	case "on":
 		p.trace = trace.NewRecorder(p.clk)
@@ -221,19 +179,13 @@ func New(opts Options) (*Platform, error) {
 	p.mongo = mongo.NewSharded(p.clk, opts.MetadataShards)
 	p.mongo.Instrument(p.metrics)
 	kv, err := etcd.NewWithOptions(opts.EtcdReplicas, p.clk, etcd.StoreOptions{
-		Shards:      opts.MetadataShards,
-		WriteMode:   opts.WriteMode,
-		Replication: opts.Replication,
+		Shards: opts.MetadataShards,
 	})
 	if err != nil {
 		p.closePartial()
 		return nil, fmt.Errorf("dlaas: %w", err)
 	}
 	p.etcd = kv
-	if err := p.etcd.SetReadMode(opts.ReadMode); err != nil {
-		p.closePartial()
-		return nil, fmt.Errorf("dlaas: %w", err)
-	}
 	p.etcd.Instrument(p.metrics)
 	p.bus = rpc.NewBus(p.clk, rpc.WithTracer(p.trace))
 
@@ -279,7 +231,6 @@ func New(opts Options) (*Platform, error) {
 	lcmSvc := lcm.New(p.deps)
 	lcmSvc.GuardianStepDelay = opts.GuardianStepDelay
 	lcmSvc.MaxDeployAttempts = opts.MaxDeployAttempts
-	lcmSvc.ControlPlane = opts.ControlPlane
 
 	p.apiDep, err = p.cluster.CreateDeployment("dlaas-api", opts.APIReplicas, kube.PodSpec{
 		Labels:        map[string]string{"app": "dlaas-api"},

@@ -1033,74 +1033,3 @@ func TestInvalidManifestRejected(t *testing.T) {
 		t.Fatal("zero learners accepted")
 	}
 }
-
-// TestReadModeOptionThreadsThrough: the platform wires Options.ReadMode
-// into etcd — the propose escape hatch still completes jobs end to end
-// (the A/B the read-index refactor is measured against), and an unknown
-// mode is rejected at boot instead of surfacing as mystery read
-// behavior later.
-func TestReadModeOptionThreadsThrough(t *testing.T) {
-	skipIfShort(t)
-	if _, err := New(Options{ReadMode: "eventually-ish"}); err == nil {
-		t.Fatal("unknown read mode accepted")
-	}
-
-	p := newTestPlatform(t, Options{ReadMode: "propose"})
-	if got := p.Etcd().ReadMode(); got != "propose" {
-		t.Fatalf("etcd read mode = %q, want propose", got)
-	}
-	client := p.Client("rmode")
-	id, err := client.Submit(testManifest(t, p, "rmode", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.WaitForState(id, StateCompleted, 2*time.Hour); err != nil {
-		t.Fatalf("job did not complete in propose read mode: %v", err)
-	}
-
-	// The default platform runs lease reads; its reads must not grow the
-	// Raft log the way propose-mode reads do.
-	if got := newTestPlatform(t, Options{}).Etcd().ReadMode(); got != "leaseread" {
-		t.Fatalf("default read mode = %q, want leaseread", got)
-	}
-}
-
-// TestWriteModeOptionThreadsThrough: the platform wires Options.WriteMode
-// and Options.Replication into etcd — the legacy single+stop-and-wait
-// combination (the baseline BenchmarkEtcdWrites measures group commit and
-// pipelining against) still completes jobs end to end, and unknown modes
-// are rejected at boot.
-func TestWriteModeOptionThreadsThrough(t *testing.T) {
-	skipIfShort(t)
-	if _, err := New(Options{WriteMode: "firehose"}); err == nil {
-		t.Fatal("unknown write mode accepted")
-	}
-	if _, err := New(Options{Replication: "telepathy"}); err == nil {
-		t.Fatal("unknown replication mode accepted")
-	}
-
-	p := newTestPlatform(t, Options{WriteMode: "single", Replication: "stopwait"})
-	if got := p.Etcd().WriteMode(); got != "single" {
-		t.Fatalf("etcd write mode = %q, want single", got)
-	}
-	if got := p.Etcd().Replication(); got != "stopwait" {
-		t.Fatalf("etcd replication = %q, want stopwait", got)
-	}
-	client := p.Client("wmode")
-	id, err := client.Submit(testManifest(t, p, "wmode", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.WaitForState(id, StateCompleted, 2*time.Hour); err != nil {
-		t.Fatalf("job did not complete in single+stopwait mode: %v", err)
-	}
-
-	// The default platform batches writes over pipelined replication.
-	d := newTestPlatform(t, Options{})
-	if got := d.Etcd().WriteMode(); got != "batch" {
-		t.Fatalf("default write mode = %q, want batch", got)
-	}
-	if got := d.Etcd().Replication(); got != "pipeline" {
-		t.Fatalf("default replication = %q, want pipeline", got)
-	}
-}
