@@ -30,7 +30,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/kube"
 	"repro/internal/store"
-	"repro/internal/trace"
 	"repro/internal/trainsim"
 
 	"repro/internal/clock"
@@ -199,230 +198,194 @@ func BenchmarkAblationEtcdReplication(b *testing.B) {
 	}
 }
 
-// BenchmarkEtcdReads compares the three read modes on the hottest path
-// the control plane has — etcd Get/Range — with 64 concurrent readers
-// on a 3-node cluster whose surviving follower is slow (+5ms one-way)
-// and whose original leader is partitioned mid-run, so the stale-leader
-// hazards are live and every linearizable answer comes from the
-// successor's quorum. Reported per mode: quorum confirmation rounds per
-// linearizable read (leaseread amortizes to ~0 vs exactly 1 in
-// readindex mode), lease fast-path reads per read, Raft proposals per
-// read (zero in every mode: reads never enter the log), and
+// BenchmarkEtcdReads measures the hottest path the control plane has —
+// etcd Get/Range — with 64 concurrent readers on a 3-node cluster whose
+// surviving follower is slow (+5ms one-way) and whose original leader is
+// partitioned mid-run, so the stale-leader hazards are live and every
+// linearizable answer comes from the successor's quorum. Reported:
+// quorum confirmation rounds per read (the check-quorum lease and round
+// coalescing amortize it to ~0), lease fast-path reads per read, Raft
+// proposals per read (zero: reads never enter the log), and
 // virtual-time latency per read. The loop itself is the leader-
 // partition linearizability probe: every read must return the
-// acknowledged post-partition value in every mode (the stale isolated
-// leader is never allowed to answer; serializable mode passes because
-// freshest-replica selection skips the lagging minority). Run with
-// -benchtime=64x — at 1x there is no read concurrency for coalescing
-// or the lease to amortize over.
+// acknowledged post-partition value (the stale isolated leader is never
+// allowed to answer). Run with -benchtime=64x — at 1x there is no read
+// concurrency for coalescing or the lease to amortize over.
 func BenchmarkEtcdReads(b *testing.B) {
 	const keys = 16
 	const readers = 64
-	modes := []string{etcd.ReadModeLease, etcd.ReadModeReadIndex, etcd.ReadModeSerializable}
-	for _, mode := range modes {
-		b.Run(mode, func(b *testing.B) {
-			clk := clock.NewSim()
-			defer clk.Close()
-			s := etcd.New(3, clk)
-			defer s.Close()
-			if err := s.SetReadMode(mode); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < keys; i++ {
-				if _, err := s.Put(fmt.Sprintf("/jobs/j1/learners/%d/status", i), "TRAINING"); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Degrade one follower, then partition the current leader (a
-			// minority of one): the majority — successor plus the slow
-			// follower — elects and keeps serving, and reads must keep
-			// returning the acknowledged state, never the deposed
-			// leader's view.
-			lead := s.LeaderID()
-			for id := 0; id < 3; id++ {
-				if id != lead {
-					s.SetNodeDelay(id, 5*time.Millisecond)
-					break
-				}
-			}
-			if lead >= 0 {
-				s.PartitionNode(lead)
-			}
-			if _, err := s.Put("/jobs/j1/phase", "STORING"); err != nil {
-				b.Fatal(err) // commits on the majority side
-			}
-			// Let the successor's check-quorum lease arm before measuring.
-			clk.Sleep(200 * time.Millisecond)
-
-			props := s.Proposals()
-			rs0 := s.ReadStats()
-			start := clk.Now()
-			var next atomic.Int64
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < readers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := next.Add(1) - 1
-						if i >= int64(b.N) {
-							return
-						}
-						v, found, err := s.Get("/jobs/j1/phase")
-						if err != nil {
-							b.Errorf("mode %s get: %v", mode, err)
-							return
-						}
-						if !found || v != "STORING" {
-							b.Errorf("mode %s read (%q,%v), want the acknowledged write", mode, v, found)
-							return
-						}
-						kvs, err := s.Range("/jobs/j1/learners/")
-						if err != nil {
-							b.Errorf("mode %s range: %v", mode, err)
-							return
-						}
-						if len(kvs) != keys {
-							b.Errorf("mode %s ranged %d keys, want %d", mode, len(kvs), keys)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			rs1 := s.ReadStats()
-			reads := float64(2 * b.N) // one Get + one Range per iteration
-			b.ReportMetric(float64(rs1.Rounds-rs0.Rounds)/reads, "rounds/read")
-			b.ReportMetric(float64(rs1.LeaseReads-rs0.LeaseReads)/reads, "lease-reads/read")
-			b.ReportMetric(float64(s.Proposals()-props)/reads, "proposals/read")
-			b.ReportMetric(float64(clk.Since(start).Microseconds())/reads/1000, "virtual-ms/read")
-		})
+	clk := clock.NewSim()
+	defer clk.Close()
+	s := etcd.New(3, clk)
+	defer s.Close()
+	for i := 0; i < keys; i++ {
+		if _, err := s.Put(fmt.Sprintf("/jobs/j1/learners/%d/status", i), "TRAINING"); err != nil {
+			b.Fatal(err)
+		}
 	}
+	// Degrade one follower, then partition the current leader (a
+	// minority of one): the majority — successor plus the slow
+	// follower — elects and keeps serving, and reads must keep
+	// returning the acknowledged state, never the deposed leader's
+	// view.
+	lead := s.LeaderID()
+	for id := 0; id < 3; id++ {
+		if id != lead {
+			s.SetNodeDelay(id, 5*time.Millisecond)
+			break
+		}
+	}
+	if lead >= 0 {
+		s.PartitionNode(lead)
+	}
+	if _, err := s.Put("/jobs/j1/phase", "STORING"); err != nil {
+		b.Fatal(err) // commits on the majority side
+	}
+	// Let the successor's check-quorum lease arm before measuring.
+	clk.Sleep(200 * time.Millisecond)
+
+	props := s.Proposals()
+	rs0 := s.ReadStats()
+	start := clk.Now()
+	var next atomic.Int64
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(b.N) {
+					return
+				}
+				v, found, err := s.Get("/jobs/j1/phase")
+				if err != nil {
+					b.Errorf("get: %v", err)
+					return
+				}
+				if !found || v != "STORING" {
+					b.Errorf("read (%q,%v), want the acknowledged write", v, found)
+					return
+				}
+				kvs, err := s.Range("/jobs/j1/learners/")
+				if err != nil {
+					b.Errorf("range: %v", err)
+					return
+				}
+				if len(kvs) != keys {
+					b.Errorf("ranged %d keys, want %d", len(kvs), keys)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	rs1 := s.ReadStats()
+	reads := float64(2 * b.N) // one Get + one Range per iteration
+	b.ReportMetric(float64(rs1.Rounds-rs0.Rounds)/reads, "rounds/read")
+	b.ReportMetric(float64(rs1.LeaseReads-rs0.LeaseReads)/reads, "lease-reads/read")
+	b.ReportMetric(float64(s.Proposals()-props)/reads, "proposals/read")
+	b.ReportMetric(float64(clk.Since(start).Microseconds())/reads/1000, "virtual-ms/read")
 }
 
 // BenchmarkEtcdWrites measures the replicated write path under the
 // conditions the control plane actually faces: 64 concurrent writers
 // (every learner, LCM, and controller mutating job state at once) on a
 // 3-node cluster whose third replica is both slow (+5ms one-way) and
-// flapping (periodic short partitions). Three A/B rows:
-//
-//	batch-pipeline:  group commit + pipelined AppendEntries (default)
-//	single-pipeline: one proposal per write, pipelined replication
-//	batch-stopwait:  group commit over stop-and-wait replication
-//
-// Reported per row: writes per Raft proposal (group commit's coalescing
-// ratio — per-proposal throughput), proposals per write, batch occupancy
-// (sub-commands per batch round), and p50/p99 commit latency in virtual
-// ms. The headline claims are batch-pipeline sustaining >= 3x the
-// per-proposal write throughput of single mode, and p99 commit latency
-// staying bounded despite the degraded follower (commits need only the
-// fast quorum). Wall-virtual throughput is deliberately not reported:
+// flapping (periodic short partitions), through group commit over
+// pipelined AppendEntries. Reported: writes per Raft proposal (group
+// commit's coalescing ratio — per-proposal throughput), proposals per
+// write, batch occupancy (sub-commands per batch round), and p50/p99
+// commit latency in virtual ms; p99 commit latency stays bounded
+// despite the degraded follower because commits need only the fast
+// quorum. Wall-virtual throughput is deliberately not reported:
 // the driver runs in real time against the idle-advancing sim clock, so
 // elapsed virtual time is quantized by the flap-cycle timers rather
 // than by replication work.
 func BenchmarkEtcdWrites(b *testing.B) {
-	rows := []struct {
-		name        string
-		write, repl string
-	}{
-		{"batch-pipeline", etcd.WriteModeBatch, etcd.ReplicationPipeline},
-		{"single-pipeline", etcd.WriteModeSingle, etcd.ReplicationPipeline},
-		{"batch-stopwait", etcd.WriteModeBatch, etcd.ReplicationStopWait},
-	}
 	const writers = 64
-	for _, row := range rows {
-		b.Run(row.name, func(b *testing.B) {
-			clk := clock.NewSim()
-			defer clk.Close()
-			s, err := etcd.NewWithOptions(3, clk, etcd.StoreOptions{
-				WriteMode:   row.write,
-				Replication: row.repl,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			if _, err := s.Put("/bench/warm", "up"); err != nil {
-				b.Fatal(err)
-			}
-
-			// Degrade one follower, never the leader: +5ms one-way on
-			// every message to it, plus a flap cycle (60ms partitioned,
-			// 200ms healed — short enough that its election timer never
-			// fires, so the fault stays a replication fault rather than
-			// a leadership fault).
-			victim := -1
-			lead := s.LeaderID()
-			for id := 0; id < 3; id++ {
-				if id != lead {
-					victim = id
-					break
-				}
-			}
-			s.SetNodeDelay(victim, 5*time.Millisecond)
-			stopFlap := make(chan struct{})
-			var flapWG sync.WaitGroup
-			flapWG.Add(1)
-			go func() {
-				defer flapWG.Done()
-				for {
-					select {
-					case <-stopFlap:
-						return
-					default:
-					}
-					s.PartitionNode(victim)
-					clk.Sleep(60 * time.Millisecond)
-					s.HealNode(victim)
-					clk.Sleep(200 * time.Millisecond)
-				}
-			}()
-
-			props := s.Proposals()
-			batches0, cmds0 := s.BatchStats()
-			lat := make([]time.Duration, b.N)
-			var next atomic.Int64
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for {
-						i := next.Add(1) - 1
-						if i >= int64(b.N) {
-							return
-						}
-						t0 := clk.Now()
-						if _, err := s.Put(fmt.Sprintf("/bench/w%d", i), fmt.Sprintf("v%d", i)); err != nil {
-							b.Errorf("write %d: %v", i, err)
-							return
-						}
-						lat[i] = clk.Now().Sub(t0)
-					}
-				}(w)
-			}
-			wg.Wait()
-			b.StopTimer()
-			close(stopFlap)
-			flapWG.Wait()
-
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			n := float64(b.N)
-			proposals := float64(s.Proposals() - props)
-			if proposals > 0 {
-				b.ReportMetric(n/proposals, "writes/proposal")
-			}
-			b.ReportMetric(proposals/n, "proposals/write")
-			if batches, cmds := s.BatchStats(); batches > batches0 {
-				b.ReportMetric(float64(cmds-cmds0)/float64(batches-batches0), "cmds/batch")
-			}
-			b.ReportMetric(float64(lat[len(lat)/2].Microseconds())/1000, "p50-virtual-ms")
-			b.ReportMetric(float64(lat[(len(lat)*99)/100].Microseconds())/1000, "p99-virtual-ms")
-		})
+	clk := clock.NewSim()
+	defer clk.Close()
+	s := etcd.New(3, clk)
+	defer s.Close()
+	if _, err := s.Put("/bench/warm", "up"); err != nil {
+		b.Fatal(err)
 	}
+
+	// Degrade one follower, never the leader: +5ms one-way on every
+	// message to it, plus a flap cycle (60ms partitioned, 200ms healed —
+	// short enough that its election timer never fires, so the fault
+	// stays a replication fault rather than a leadership fault).
+	victim := -1
+	lead := s.LeaderID()
+	for id := 0; id < 3; id++ {
+		if id != lead {
+			victim = id
+			break
+		}
+	}
+	s.SetNodeDelay(victim, 5*time.Millisecond)
+	stopFlap := make(chan struct{})
+	var flapWG sync.WaitGroup
+	flapWG.Add(1)
+	go func() {
+		defer flapWG.Done()
+		for {
+			select {
+			case <-stopFlap:
+				return
+			default:
+			}
+			s.PartitionNode(victim)
+			clk.Sleep(60 * time.Millisecond)
+			s.HealNode(victim)
+			clk.Sleep(200 * time.Millisecond)
+		}
+	}()
+
+	props := s.Proposals()
+	batches0, cmds0 := s.BatchStats()
+	lat := make([]time.Duration, b.N)
+	var next atomic.Int64
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(b.N) {
+					return
+				}
+				t0 := clk.Now()
+				if _, err := s.Put(fmt.Sprintf("/bench/w%d", i), fmt.Sprintf("v%d", i)); err != nil {
+					b.Errorf("write %d: %v", i, err)
+					return
+				}
+				lat[i] = clk.Now().Sub(t0)
+			}
+		}(w)
+	}
+	wg.Wait()
+	b.StopTimer()
+	close(stopFlap)
+	flapWG.Wait()
+
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	n := float64(b.N)
+	proposals := float64(s.Proposals() - props)
+	if proposals > 0 {
+		b.ReportMetric(n/proposals, "writes/proposal")
+	}
+	b.ReportMetric(proposals/n, "proposals/write")
+	if batches, cmds := s.BatchStats(); batches > batches0 {
+		b.ReportMetric(float64(cmds-cmds0)/float64(batches-batches0), "cmds/batch")
+	}
+	b.ReportMetric(float64(lat[len(lat)/2].Microseconds())/1000, "p50-virtual-ms")
+	b.ReportMetric(float64(lat[(len(lat)*99)/100].Microseconds())/1000, "p99-virtual-ms")
 }
 
 // BenchmarkSubmitPath measures the durable submission path: manifest
@@ -654,8 +617,9 @@ func BenchmarkMetadataStore(b *testing.B) {
 
 // BenchmarkGracefulPreemption quantifies the eviction protocol's win:
 // training images lost per eviction, graceful mode (the default
-// checkpoint-before-preempt handshake) versus immediate mode (the
-// Options.ImmediateEviction escape hatch, i.e. the pre-protocol kill).
+// checkpoint-before-preempt handshake) versus immediate mode (a 1ms
+// EvictionGracePeriod, which force-kills the pods before any learner
+// can checkpoint).
 // Each iteration trains a low-priority job with periodic checkpointing
 // effectively off, samples its progress, preempts it with a
 // high-priority job, and measures progress-at-eviction minus
@@ -665,14 +629,14 @@ func BenchmarkMetadataStore(b *testing.B) {
 func BenchmarkGracefulPreemption(b *testing.B) {
 	resumedRe := regexp.MustCompile(`resumed from checkpoint at (\d+)/`)
 	for _, mode := range []struct {
-		name      string
-		immediate bool
+		name  string
+		grace time.Duration
 	}{
-		{"graceful", false},
-		{"immediate", true},
+		{"graceful", 0}, // the default grace period
+		{"immediate", time.Millisecond},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			p, err := dlaas.New(dlaas.Options{Nodes: 1, GPUsPerNode: 1, EtcdReplicas: 1, ImmediateEviction: mode.immediate})
+			p, err := dlaas.New(dlaas.Options{Nodes: 1, GPUsPerNode: 1, EtcdReplicas: 1, EvictionGracePeriod: mode.grace})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -755,68 +719,4 @@ func BenchmarkTrainsimStepTime(b *testing.B) {
 		d = cfg.StepTime()
 	}
 	_ = d
-}
-
-// BenchmarkTraceOverhead measures what the tracing pipeline costs an
-// end-to-end job: identical single-learner quickstart runs with tracing
-// on (the default) versus off, reporting virtual completion latency,
-// recorded span count, and wall-clock per job. The deterministic span
-// recorder sits on every hot path (rpc calls, scheduler admission,
-// learner chunks), so "on" must stay within noise of "off" — the spans
-// are cheap map inserts under one mutex, no I/O.
-func BenchmarkTraceOverhead(b *testing.B) {
-	for _, mode := range []string{"on", "off"} {
-		b.Run(mode, func(b *testing.B) {
-			p, err := dlaas.New(dlaas.Options{Tracing: mode})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer p.Close()
-			client := p.Client("bench")
-			creds := dlaas.Credentials{AccessKey: "bench", SecretKey: "s"}
-			data, err := p.CreateDataset("bench-data", "train.rec", 1<<30, creds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			results, err := p.CreateResultsBucket("bench-results", creds)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := &dlaas.Manifest{
-				Name: "bench", Framework: "tensorflow", Model: "resnet50",
-				Learners: 1, GPUsPerLearner: 1, BatchPerGPU: 32, Epochs: 1,
-				DatasetImages: 2000, TrainingData: data, Results: results,
-				CheckpointInterval: 30 * time.Second,
-			}
-			clk := p.Clock()
-			var virtual time.Duration
-			var spans int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := clk.Now()
-				id, err := client.Submit(m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := client.WaitForState(id, dlaas.StateCompleted, 3*time.Hour); err != nil {
-					b.Fatal(err)
-				}
-				virtual += clk.Since(start)
-				if t := p.Trace().Tree(id); t != nil {
-					var count func(sd *trace.SpanData) int
-					count = func(sd *trace.SpanData) int {
-						n := 1
-						for _, c := range sd.Children {
-							n += count(c)
-						}
-						return n
-					}
-					spans += count(t.Root)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(virtual.Seconds()/float64(b.N), "virtual-s/job")
-			b.ReportMetric(float64(spans)/float64(b.N), "spans/job")
-		})
-	}
 }

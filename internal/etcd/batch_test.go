@@ -3,11 +3,10 @@ package etcd
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/clock"
 )
 
 // TestBatchCoalescesConcurrentWrites is the group-commit payoff: 64
@@ -15,9 +14,6 @@ import (
 // with every write individually acknowledged and readable.
 func TestBatchCoalescesConcurrentWrites(t *testing.T) {
 	s, _ := newTestStore(t, 3)
-	if s.WriteMode() != WriteModeBatch {
-		t.Fatalf("default write mode = %q, want %q", s.WriteMode(), WriteModeBatch)
-	}
 	// A warm-up write elects a leader outside the measured window.
 	if _, err := s.Put("/warm", "up"); err != nil {
 		t.Fatal(err)
@@ -63,78 +59,71 @@ func TestBatchCoalescesConcurrentWrites(t *testing.T) {
 	}
 }
 
-// TestBatchSingleEquivalence runs one mixed workload (puts, overwrites,
-// deletes, CAS successes and failures, a txn on both branches) through a
-// batched store and an unbatched one and requires the identical final
-// key/value state. Revisions may differ (a batch is one revision); the
-// state machine semantics must not.
-func TestBatchSingleEquivalence(t *testing.T) {
-	run := func(mode string) map[string]string {
-		clk := clock.NewSim()
-		defer clk.Close()
-		s, err := NewWithOptions(3, clk, StoreOptions{WriteMode: mode})
-		if err != nil {
+// TestBatchFinalState runs one mixed workload (puts, overwrites,
+// deletes, CAS successes and failures, a txn on both branches) through
+// the group-commit write path and requires the exact final key/value
+// state the sequential semantics dictate.
+func TestBatchFinalState(t *testing.T) {
+	s, _ := newTestStore(t, 3)
+	for i := 0; i < 8; i++ {
+		if _, err := s.Put(fmt.Sprintf("/eq/k%d", i), fmt.Sprintf("v%d", i)); err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-
-		for i := 0; i < 8; i++ {
-			if _, err := s.Put(fmt.Sprintf("/eq/k%d", i), fmt.Sprintf("v%d", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := s.Put("/eq/k3", "overwritten"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Delete("/eq/k5"); err != nil {
-			t.Fatal(err)
-		}
-		// CAS create-if-absent, then a conflicting create that must fail.
-		if err := s.CompareAndSwap("/eq/lock", "", false, "owner1"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.CompareAndSwap("/eq/lock", "", false, "owner2"); !errors.Is(err, ErrCASFailed) {
-			t.Fatalf("mode %s: conflicting CAS err = %v, want ErrCASFailed", mode, err)
-		}
-		if err := s.CompareAndSwap("/eq/k0", "v0", true, "swapped"); err != nil {
-			t.Fatal(err)
-		}
-		// Txn: then-branch fires, then a second txn falls to orElse.
-		if ok, _, err := s.Txn(
-			[]Cmp{{Key: "/eq/lock", Prev: "owner1", PrevExists: true}},
-			[]TxnOp{{Type: EventPut, Key: "/eq/txn", Value: "then"}},
-			[]TxnOp{{Type: EventPut, Key: "/eq/txn", Value: "else"}},
-		); err != nil || !ok {
-			t.Fatalf("mode %s: txn (ok=%v, err=%v), want then-branch", mode, ok, err)
-		}
-		if ok, _, err := s.Txn(
-			[]Cmp{{Key: "/eq/lock", Prev: "owner2", PrevExists: true}},
-			[]TxnOp{{Type: EventDelete, Key: "/eq/txn"}},
-			[]TxnOp{{Type: EventPut, Key: "/eq/else", Value: "taken"}},
-		); err != nil || ok {
-			t.Fatalf("mode %s: txn (ok=%v, err=%v), want orElse-branch", mode, ok, err)
-		}
-
-		kvs, err := s.Range("/eq/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		state := make(map[string]string, len(kvs))
-		for _, kv := range kvs {
-			state[kv.Key] = kv.Value
-		}
-		return state
+	}
+	if _, err := s.Put("/eq/k3", "overwritten"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("/eq/k5"); err != nil {
+		t.Fatal(err)
+	}
+	// CAS create-if-absent, then a conflicting create that must fail.
+	if err := s.CompareAndSwap("/eq/lock", "", false, "owner1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CompareAndSwap("/eq/lock", "", false, "owner2"); !errors.Is(err, ErrCASFailed) {
+		t.Fatalf("conflicting CAS err = %v, want ErrCASFailed", err)
+	}
+	if err := s.CompareAndSwap("/eq/k0", "v0", true, "swapped"); err != nil {
+		t.Fatal(err)
+	}
+	// Txn: then-branch fires, then a second txn falls to orElse.
+	if ok, _, err := s.Txn(
+		[]Cmp{{Key: "/eq/lock", Prev: "owner1", PrevExists: true}},
+		[]TxnOp{{Type: EventPut, Key: "/eq/txn", Value: "then"}},
+		[]TxnOp{{Type: EventPut, Key: "/eq/txn", Value: "else"}},
+	); err != nil || !ok {
+		t.Fatalf("txn (ok=%v, err=%v), want then-branch", ok, err)
+	}
+	if ok, _, err := s.Txn(
+		[]Cmp{{Key: "/eq/lock", Prev: "owner2", PrevExists: true}},
+		[]TxnOp{{Type: EventDelete, Key: "/eq/txn"}},
+		[]TxnOp{{Type: EventPut, Key: "/eq/else", Value: "taken"}},
+	); err != nil || ok {
+		t.Fatalf("txn (ok=%v, err=%v), want orElse-branch", ok, err)
 	}
 
-	batched := run(WriteModeBatch)
-	single := run(WriteModeSingle)
-	if len(batched) != len(single) {
-		t.Fatalf("state size differs: batch=%d single=%d", len(batched), len(single))
+	kvs, err := s.Range("/eq/")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k, v := range single {
-		if batched[k] != v {
-			t.Fatalf("key %q: batch=%q single=%q", k, batched[k], v)
-		}
+	got := make(map[string]string, len(kvs))
+	for _, kv := range kvs {
+		got[kv.Key] = kv.Value
+	}
+	want := map[string]string{
+		"/eq/k0":   "swapped",
+		"/eq/k1":   "v1",
+		"/eq/k2":   "v2",
+		"/eq/k3":   "overwritten",
+		"/eq/k4":   "v4",
+		"/eq/k6":   "v6",
+		"/eq/k7":   "v7",
+		"/eq/lock": "owner1",
+		"/eq/txn":  "then",
+		"/eq/else": "taken",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("final state = %v, want %v", got, want)
 	}
 }
 
@@ -215,13 +204,10 @@ func TestBatchedWritesSurviveLeaderCrash(t *testing.T) {
 	}
 }
 
-// TestBatchingPreservesZeroProposalReads guards the PR 5 invariant: with
-// read-index reads and batched writes, reads still cost zero proposals.
+// TestBatchingPreservesZeroProposalReads: with batched writes, reads
+// still cost zero proposals.
 func TestBatchingPreservesZeroProposalReads(t *testing.T) {
 	s, _ := newTestStore(t, 3)
-	if err := s.SetReadMode(ReadModeReadIndex); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Put("/zero/k", "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -232,32 +218,6 @@ func TestBatchingPreservesZeroProposalReads(t *testing.T) {
 		}
 	}
 	if delta := s.Proposals() - before; delta != 0 {
-		t.Fatalf("50 read-index reads cost %d proposals, want 0", delta)
-	}
-}
-
-// TestWriteModeValidation covers the oracle modes' input checking.
-func TestWriteModeValidation(t *testing.T) {
-	clk := clock.NewSim()
-	defer clk.Close()
-	if _, err := NewWithOptions(3, clk, StoreOptions{WriteMode: "bogus"}); err == nil {
-		t.Fatal("unknown write mode accepted")
-	}
-	if _, err := NewWithOptions(3, clk, StoreOptions{Replication: "bogus"}); err == nil {
-		t.Fatal("unknown replication mode accepted")
-	}
-	s, err := NewWithOptions(3, clk, StoreOptions{WriteMode: WriteModeSingle, Replication: ReplicationStopWait})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.WriteMode() != WriteModeSingle || s.Replication() != ReplicationStopWait {
-		t.Fatalf("modes = (%q,%q)", s.WriteMode(), s.Replication())
-	}
-	if _, err := s.Put("/mode/k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if v, found, _ := s.Get("/mode/k"); !found || v != "v" {
-		t.Fatal("write under single/stopwait modes not readable")
+		t.Fatalf("50 reads cost %d proposals, want 0", delta)
 	}
 }

@@ -24,12 +24,12 @@ func TestSnapshotRestoreDeterministic(t *testing.T) {
 	src := newStateMachine(4)
 	for i := 0; i < 32; i++ {
 		key := fmt.Sprintf("/jobs/j%02d/status", (7*i)%32)
-		src.apply(uint64(i+1), command{
+		src.applyBatch(uint64(i+1), []command{{
 			ReqID: fmt.Sprintf("req-%d", i),
 			Op:    opPut,
 			Key:   key,
 			Value: fmt.Sprintf("state-%d", i),
-		})
+		}})
 	}
 	img := src.serialize()
 	if img == nil {

@@ -5,16 +5,15 @@
 // co-ordinate between the controller and LCM/Guardian... ETCD itself is
 // replicated (3-way), and uses the Raft consensus protocol").
 //
-// Writes are sequenced through the Raft log. Reads are served, in the
-// default leaseread mode, from the least-loaded replica's MVCC snapshot
+// Writes are group-committed through the Raft log: concurrent writes
+// share one batched log entry per replication round. Get, Range and
+// read-only Txn are served from the least-loaded replica's MVCC snapshot
 // at an applied floor the leader vouches for — via its check-quorum
 // lease when live (zero messages per read) or a coalesced quorum
 // heartbeat round otherwise (one round resolves every read in flight
 // during it) — linearizable results with zero log entries per read.
-// SetReadMode selects the readindex hatch (one dedicated round per
-// read, the pre-lease behavior), the propose hatch (reads as full
-// proposals), or serializable mode (stale-tolerant local reads that
-// need no quorum). Watches observe the apply stream and survive the
+// SerializableRange opts one scan into a stale-tolerant local read that
+// needs no quorum. Watches observe the apply stream and survive the
 // crash of any minority of nodes.
 //
 // Since the metadata-plane refactor this package is a facade over the
@@ -162,57 +161,6 @@ type result struct {
 	events []Event
 }
 
-// Read modes selectable via SetReadMode.
-const (
-	// ReadModeLease (the default) serves Get/Range/read-only Txn
-	// linearizably at amortized quorum cost: concurrent leader
-	// confirmation rounds coalesce (one heartbeat round resolves every
-	// read in flight during it), and while the leader's check-quorum
-	// lease is live reads cost zero messages. Skew beyond the raft
-	// drift bound, step-down, or term change kill the lease and reads
-	// fall back to full rounds — never to staleness.
-	ReadModeLease = "leaseread"
-	// ReadModeReadIndex serves reads from a local replica's MVCC
-	// snapshot after a dedicated leader read-index round: linearizable,
-	// zero log entries, exactly one heartbeat round per read — the
-	// pre-lease behavior, kept as the oracle lease reads are checked
-	// against.
-	ReadModeReadIndex = "readindex"
-	// ReadModeSerializable answers from the freshest live replica's
-	// local state with no leadership round at all: bounded staleness
-	// (the replica may lag acknowledged writes), never wrongness (only
-	// committed entries are applied). Stays available without a quorum.
-	ReadModeSerializable = "serializable"
-)
-
-// Write modes selectable at construction (StoreOptions.WriteMode).
-const (
-	// WriteModeBatch (the default) coalesces concurrent writes into one
-	// batched log entry per replication round — group commit. A batch
-	// flushes as soon as the previous round's entry applies; under no
-	// concurrency every batch holds one command, so there is no added
-	// latency.
-	WriteModeBatch = "batch"
-	// WriteModeSingle proposes every write as its own log entry — the
-	// pre-batching behavior, kept as the oracle group commit is checked
-	// against.
-	WriteModeSingle = "single"
-)
-
-// Replication modes selectable at construction
-// (StoreOptions.Replication); they map onto raft.Config's pipeline
-// window.
-const (
-	// ReplicationPipeline (the default) keeps a bounded in-flight window
-	// of AppendEntries per follower, advancing optimistically and
-	// rewinding on reject.
-	ReplicationPipeline = "pipeline"
-	// ReplicationStopWait re-ships the full pending log suffix every
-	// broadcast and advances only on acks — the pre-pipelining behavior,
-	// kept as the oracle pipelining is checked against.
-	ReplicationStopWait = "stopwait"
-)
-
 // defaultRequestTimeout bounds how long a client op waits for commit.
 const defaultRequestTimeout = 5 * time.Second
 
@@ -268,9 +216,6 @@ type Store struct {
 	reqSeq       atomic.Uint64
 	closed       atomic.Bool
 	stopCh       chan struct{}
-	readMode     atomic.Value // string; one of the ReadMode constants
-	writeMode    string       // fixed at construction
-	replication  string       // fixed at construction
 
 	// Group-commit state: writers append to batchQ and kick the flusher,
 	// which drains the queue into one opBatch entry per replication
@@ -288,7 +233,7 @@ type Store struct {
 	cRange, cPut, cGet, cDelete, cCAS, cTxn, cWatch opCounter
 
 	// proposals counts entries actually submitted to the Raft log;
-	// reads in every mode leave it untouched.
+	// reads leave it untouched.
 	proposals atomic.Uint64
 
 	// leaderCache short-circuits the per-op leader scan; dropLeader
@@ -310,17 +255,6 @@ type Store struct {
 	stops map[int]chan struct{}
 }
 
-// StoreOptions configures a Store beyond the defaults.
-type StoreOptions struct {
-	// Shards is the per-replica engine shard count (<= 0 = default).
-	Shards int
-	// WriteMode is WriteModeBatch (default) or WriteModeSingle.
-	WriteMode string
-	// Replication is ReplicationPipeline (default) or
-	// ReplicationStopWait. Fixed for the cluster's lifetime.
-	Replication string
-}
-
 // New boots an n-way replicated store on clk. The paper's deployment uses
 // n = 3.
 func New(n int, clk clock.Clock) *Store { return NewSharded(n, clk, 0) }
@@ -329,51 +263,22 @@ func New(n int, clk clock.Clock) *Store { return NewSharded(n, clk, 0) }
 // machines use the given engine shard count (<= 0 selects the store
 // default).
 func NewSharded(n int, clk clock.Clock, shards int) *Store {
-	s, err := NewWithOptions(n, clk, StoreOptions{Shards: shards})
-	if err != nil {
-		panic(err) // unreachable: default options are valid
-	}
-	return s
-}
-
-// NewWithOptions boots an n-way replicated store with explicit write and
-// replication modes. It fails on an unknown mode string.
-func NewWithOptions(n int, clk clock.Clock, o StoreOptions) (*Store, error) {
-	switch o.WriteMode {
-	case "":
-		o.WriteMode = WriteModeBatch
-	case WriteModeBatch, WriteModeSingle:
-	default:
-		return nil, fmt.Errorf("etcd: unknown write mode %q", o.WriteMode)
-	}
-	cfg := raft.DefaultConfig(clk)
-	switch o.Replication {
-	case "", ReplicationPipeline:
-		o.Replication = ReplicationPipeline
-	case ReplicationStopWait:
-		cfg.MaxInflightEntries = 1
-	default:
-		return nil, fmt.Errorf("etcd: unknown replication mode %q", o.Replication)
-	}
 	s := &Store{
-		clk:         clk,
-		cluster:     raft.NewCluster(n, cfg),
-		timeout:     defaultRequestTimeout,
-		shards:      o.Shards,
-		writeMode:   o.WriteMode,
-		replication: o.Replication,
-		stopCh:      make(chan struct{}),
-		batchKick:   make(chan struct{}, 1),
-		hub:         store.NewHub[Event](),
-		sms:         make(map[int]*stateMachine, n),
-		stops:       make(map[int]chan struct{}, n),
+		clk:       clk,
+		cluster:   raft.NewCluster(n, raft.DefaultConfig(clk)),
+		timeout:   defaultRequestTimeout,
+		shards:    shards,
+		stopCh:    make(chan struct{}),
+		batchKick: make(chan struct{}, 1),
+		hub:       store.NewHub[Event](),
+		sms:       make(map[int]*stateMachine, n),
+		stops:     make(map[int]chan struct{}, n),
 	}
 	s.readLoads = make(map[int]*replicaLoad, n)
 	for _, id := range s.cluster.IDs() {
 		s.readLoads[id] = &replicaLoad{}
 	}
 	s.compactEvery.Store(defaultCompactEvery)
-	s.readMode.Store(ReadModeLease) // matches raft's lease/coalesce defaults
 	for i := range s.waiters {
 		s.waiters[i].m = make(map[string]chan result)
 	}
@@ -381,39 +286,8 @@ func NewWithOptions(n int, clk clock.Clock, o StoreOptions) (*Store, error) {
 		s.startApplier(id)
 	}
 	go s.batchLoop()
-	return s, nil
+	return s
 }
-
-// SetReadMode selects how Get, Range and read-only Txn are served
-// ("" selects the default, ReadModeLease). Writes always go through
-// the Raft log regardless of mode. Switching modes also flips the raft
-// lease/coalescing switches cluster-wide, so ReadModeReadIndex is the
-// exact one-heartbeat-round-per-read PR 5 baseline.
-func (s *Store) SetReadMode(mode string) error {
-	switch mode {
-	case "":
-		mode = ReadModeLease
-	case ReadModeLease, ReadModeReadIndex, ReadModeSerializable:
-	default:
-		return fmt.Errorf("etcd: unknown read mode %q", mode)
-	}
-	s.readMode.Store(mode)
-	amortized := mode == ReadModeLease
-	s.cluster.SetLeaseReads(amortized)
-	s.cluster.SetReadCoalescing(amortized)
-	return nil
-}
-
-// ReadMode reports the store's current read mode.
-func (s *Store) ReadMode() string {
-	return s.readMode.Load().(string)
-}
-
-// WriteMode reports the store's write mode (fixed at boot).
-func (s *Store) WriteMode() string { return s.writeMode }
-
-// Replication reports the cluster's replication mode (fixed at boot).
-func (s *Store) Replication() string { return s.replication }
 
 // BatchStats reports how many group-commit batches were proposed and how
 // many client commands they carried; cmds/batches is the mean batch
@@ -588,46 +462,32 @@ func (s *Store) applyEntry(sm *stateMachine, e raft.Entry) {
 		return
 	}
 	var cmd command
-	if err := json.Unmarshal(e.Cmd, &cmd); err != nil {
-		// Corrupt entry: a deterministic no-op on every node, but its
-		// index must not leave a hole under the floor or the cursor.
+	if err := json.Unmarshal(e.Cmd, &cmd); err != nil || cmd.Op != opBatch {
+		// Corrupt entry (every proposal is an opBatch wrapper): a
+		// deterministic no-op on every node, but its index must not
+		// leave a hole under the floor or the cursor.
 		sm.advance(e.Index)
 		s.hub.Publish(e.Index, nil)
 		return
 	}
-	if cmd.Op == opBatch {
-		s.applyBatchEntry(sm, e.Index, cmd)
-		return
-	}
-	res := sm.apply(e.Index, cmd)
-
-	// Publish before completing the waiter: once the client's call
-	// returns, the entry's revision is already past the hub's delivery
-	// cursor, so a Watch opened after an acknowledged write can never be
-	// handed that write's own events ("events begin with the first
-	// revision applied after the call").
-	s.hub.Publish(e.Index, res.events)
-
-	// Complete the client waiter (first applier wins; all produce the
-	// same deterministic result).
-	if ch, ok := s.takeWaiter(cmd.ReqID); ok {
-		select {
-		case ch <- res:
-		default:
-		}
-	}
+	s.applyBatchEntry(sm, e.Index, cmd)
 }
 
 // applyBatchEntry unpacks a group-commit wrapper: every sub-command
 // applies in order at the wrapper's single log index, the concatenated
 // events publish once for that index (the hub cursor demands exactly one
 // publish per revision), and each sub-command's waiter fires on its own
-// ReqID. The wrapper's waiter releases the flusher's round.
+// ReqID (first applier wins; every replica produces the same
+// deterministic results). The wrapper's waiter releases the flusher's
+// round.
 func (s *Store) applyBatchEntry(sm *stateMachine, idx uint64, batch command) {
 	results, events := sm.applyBatch(idx, batch.Subs)
 
-	// Publish before completing waiters, for the same watch-visibility
-	// ordering as single commands.
+	// Publish before completing waiters: once a client's call returns,
+	// the entry's revision is already past the hub's delivery cursor, so
+	// a Watch opened after an acknowledged write can never be handed
+	// that write's own events ("events begin with the first revision
+	// applied after the call").
 	s.hub.Publish(idx, events)
 
 	for i, sub := range batch.Subs {
@@ -679,11 +539,10 @@ func (s *Store) Put(key, value string) (rev uint64, err error) {
 	return res.rev, nil
 }
 
-// Get returns the value stored under key. found reports existence. In
-// the lease and read-index modes the read is linearizable; in
-// serializable mode it may lag acknowledged writes.
+// Get returns the value stored under key. found reports existence. The
+// read is linearizable.
 func (s *Store) Get(key string) (value string, found bool, err error) {
-	res, err := s.read(s.ReadMode(), command{Op: opGet, Key: key})
+	res, err := s.readIndexRead(command{Op: opGet, Key: key})
 	s.finishOp("get", &s.cGet, err)
 	if err != nil {
 		return "", false, fmt.Errorf("get %q: %w", key, err)
@@ -722,13 +581,13 @@ func (s *Store) CompareAndSwap(key, prev string, prevExists bool, newValue strin
 // then (all guards hold) or orElse (any guard fails) in a single log
 // entry: the branch's mutations commit at one revision, and watchers see
 // them together. succeeded reports which branch ran. A read-only
-// transaction (both branches empty) is served through the store's read
-// mode — guard evaluation against one local snapshot revision, no log
-// entry — since there is nothing to sequence.
+// transaction (both branches empty) is served like Get — guard
+// evaluation against one local snapshot revision, no log entry — since
+// there is nothing to sequence.
 func (s *Store) Txn(cmps []Cmp, then, orElse []TxnOp) (succeeded bool, rev uint64, err error) {
 	var res result
 	if len(then) == 0 && len(orElse) == 0 {
-		res, err = s.read(s.ReadMode(), command{Op: opTxn, Cmps: cmps})
+		res, err = s.readIndexRead(command{Op: opTxn, Cmps: cmps})
 	} else {
 		res, err = s.propose(command{Op: opTxn, Cmps: cmps, Then: then, Else: orElse})
 	}
@@ -741,7 +600,7 @@ func (s *Store) Txn(cmps []Cmp, then, orElse []TxnOp) (succeeded bool, rev uint6
 
 // Range returns all keys under prefix, sorted by key.
 func (s *Store) Range(prefix string) ([]KV, error) {
-	res, err := s.read(s.ReadMode(), command{Op: opRange, Key: prefix})
+	res, err := s.readIndexRead(command{Op: opRange, Key: prefix})
 	s.finishOp("range", &s.cRange, err)
 	if err != nil {
 		return nil, fmt.Errorf("range %q: %w", prefix, err)
@@ -749,13 +608,14 @@ func (s *Store) Range(prefix string) ([]KV, error) {
 	return res.kvs, nil
 }
 
-// SerializableRange is Range forced through serializable mode whatever
-// the store default: a stale-tolerant local read that costs no
-// consensus work and stays available without a quorum. Consumers that
-// re-run on a backstop cadence against idempotent actions (the LCM's GC
-// sweep) opt into it.
+// SerializableRange is Range answered from the freshest live replica's
+// local state with no leadership round: a stale-tolerant read that
+// costs no consensus work and stays available without a quorum. It may
+// lag acknowledged writes, but never returns uncommitted state.
+// Consumers that re-run on a backstop cadence against idempotent
+// actions (the LCM's GC sweep) opt into it.
 func (s *Store) SerializableRange(prefix string) ([]KV, error) {
-	res, err := s.read(ReadModeSerializable, command{Op: opRange, Key: prefix})
+	res, err := s.serializableRead(command{Op: opRange, Key: prefix})
 	s.finishOp("range", &s.cRange, err)
 	if err != nil {
 		return nil, fmt.Errorf("range %q: %w", prefix, err)
@@ -850,24 +710,13 @@ func (s *Store) replicaAt(rev uint64) *stateMachine {
 	}
 }
 
-// read serves a read-only command (opGet, opRange, or an opTxn with no
-// mutations) in the given read mode. ReadModeLease and
-// ReadModeReadIndex share the read-index path — the lease fast path and
-// round coalescing live inside raft.Node.ReadIndex, toggled by
-// SetReadMode.
-func (s *Store) read(mode string, cmd command) (result, error) {
-	if mode == ReadModeSerializable {
-		return s.serializableRead(cmd)
-	}
-	return s.readIndexRead(cmd)
-}
-
-// readIndexRead serves cmd linearizably without a log entry: obtain a
-// read index from the leader (a live check-quorum lease answers it for
-// free; otherwise ReadIndex confirms leadership with a quorum heartbeat
-// round, so a deposed leader can never answer), wait for a routed
-// replica's state machine to apply through it, then read that local
-// MVCC snapshot.
+// readIndexRead serves a read-only command (opGet, opRange, or an opTxn
+// with no mutations) linearizably without a log entry: obtain a read
+// index from the leader (a live check-quorum lease answers it for free;
+// otherwise ReadIndex confirms leadership with a quorum heartbeat round,
+// coalesced with every read in flight, so a deposed leader can never
+// answer), wait for a routed replica's state machine to apply through
+// it, then read that local MVCC snapshot.
 func (s *Store) readIndexRead(cmd command) (result, error) {
 	deadline := s.clk.Now().Add(s.timeout)
 	for {
@@ -1141,23 +990,14 @@ func (s *Store) pause(deadline time.Time) bool {
 }
 
 // propose routes a mutation through the Raft log and waits for its
-// application. In the default batch write mode it joins the group-commit
-// queue (one log entry per replication round); single mode proposes it
-// individually.
+// application: it enqueues cmd for the group-commit flusher (one log
+// entry per replication round) and waits for its own waiter to fire —
+// each sub-command completes individually when the wrapper entry
+// applies.
 func (s *Store) propose(cmd command) (result, error) {
 	if s.closed.Load() {
 		return result{}, ErrClosed
 	}
-	if s.writeMode == WriteModeSingle {
-		return s.proposeSingle(cmd)
-	}
-	return s.proposeBatched(cmd)
-}
-
-// proposeBatched enqueues cmd for the group-commit flusher and waits for
-// its own waiter to fire — each sub-command completes individually when
-// the wrapper entry applies.
-func (s *Store) proposeBatched(cmd command) (result, error) {
 	cmd.ReqID = fmt.Sprintf("r%d", s.reqSeq.Add(1))
 	ch := make(chan result, 1)
 	s.putWaiter(cmd.ReqID, ch)
@@ -1266,57 +1106,6 @@ func (s *Store) flushBatch(q []command) {
 	}
 }
 
-// proposeSingle routes one command through the Raft log as its own
-// entry. The wait is event-driven — a select on the waiter channel and a
-// clock timer — rather than a poll: the old 5 ms busy-loop put a
-// virtual-latency floor under every write and burned sim-clock cycles.
-func (s *Store) proposeSingle(cmd command) (result, error) {
-	cmd.ReqID = fmt.Sprintf("r%d", s.reqSeq.Add(1))
-	ch := make(chan result, 1)
-	s.putWaiter(cmd.ReqID, ch)
-	defer s.takeWaiter(cmd.ReqID)
-
-	payload, err := json.Marshal(cmd)
-	if err != nil {
-		return result{}, fmt.Errorf("encoding command: %w", err)
-	}
-
-	deadline := s.clk.Now().Add(s.timeout)
-	for s.clk.Now().Before(deadline) {
-		leader := s.leader()
-		if leader == nil {
-			s.clk.Sleep(retryPause)
-			continue
-		}
-		if _, _, err := leader.Propose(payload); err != nil {
-			s.dropLeader()
-			s.clk.Sleep(retryPause)
-			continue
-		}
-		s.proposals.Add(1)
-		// Wait for apply; on timeout re-propose, since leadership may
-		// have changed and the entry been lost (bounded by the overall
-		// deadline; dedupe in the state machine makes retries idempotent).
-		t := s.clk.NewTimer(proposeWait)
-		select {
-		case res := <-ch:
-			t.Stop()
-			return res, nil
-		case <-t.C():
-			s.dropLeader()
-		case <-s.stopCh:
-			t.Stop()
-			return result{}, ErrClosed
-		}
-	}
-	select {
-	case res := <-ch:
-		return res, nil
-	default:
-		return result{}, ErrTimeout
-	}
-}
-
 // CrashNode stops raft node id, preserving its durable state.
 func (s *Store) CrashNode(id int) {
 	s.mu.Lock()
@@ -1365,9 +1154,8 @@ func (s *Store) SkewNodeClock(id int, d time.Duration) {
 func (s *Store) ReadStats() raft.ReadStats { return s.cluster.ReadStats() }
 
 // ReadsRouted reports how many reads each replica has served (applied-
-// floor waits in the read-index/lease modes, local serves in
-// serializable mode), keyed by node ID — the follower-routing
-// distribution.
+// floor waits of linearizable reads, local serves of SerializableRange),
+// keyed by node ID — the follower-routing distribution.
 func (s *Store) ReadsRouted() map[int]uint64 {
 	out := make(map[int]uint64, len(s.readLoads))
 	for id, ld := range s.readLoads {
@@ -1495,78 +1283,6 @@ func (m *stateMachine) restore(raw []byte, snapIndex uint64) {
 	}
 }
 
-func (m *stateMachine) apply(idx uint64, cmd command) result {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// Exactly-once: a retried proposal may appear twice in the log; only
-	// the first occurrence mutates state.
-	if first, seen := m.dedup[cmd.ReqID]; seen && first != idx {
-		_ = m.eng.AdvanceFloor(idx)
-		return result{rev: first, ok: true}
-	}
-	m.dedup[cmd.ReqID] = idx
-
-	res := result{rev: idx}
-	applyOps := func(ops []store.Op) {
-		events, _ := m.eng.ApplyAt(idx, ops)
-		for _, ev := range events {
-			val, _ := ev.Value.(string)
-			res.events = append(res.events, Event{
-				Type: EventType(ev.Type), Key: ev.Key, Value: val, Rev: ev.Rev,
-			})
-		}
-	}
-	holds := func(c Cmp) bool {
-		cur, _, exists := m.eng.Get(c.Key)
-		if exists != c.PrevExists {
-			return false
-		}
-		return !exists || cur.(string) == c.Prev
-	}
-
-	switch cmd.Op {
-	case opPut:
-		applyOps([]store.Op{{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value}})
-	case opDelete:
-		applyOps([]store.Op{{Kind: store.OpDelete, Key: cmd.Key}})
-	case opCAS:
-		if holds(Cmp{Key: cmd.Key, Prev: cmd.Prev, PrevExists: cmd.PrevExists}) {
-			applyOps([]store.Op{{Kind: store.OpPut, Key: cmd.Key, Value: cmd.Value}})
-			res.ok = true
-		}
-	case opTxn:
-		res.ok = true
-		for _, c := range cmd.Cmps {
-			if !holds(c) {
-				res.ok = false
-				break
-			}
-		}
-		branch := cmd.Then
-		if !res.ok {
-			branch = cmd.Else
-		}
-		ops := make([]store.Op, 0, len(branch))
-		for _, op := range branch {
-			kind := store.OpPut
-			if op.Type == EventDelete {
-				kind = store.OpDelete
-			}
-			ops = append(ops, store.Op{Kind: kind, Key: op.Key, Value: op.Value})
-		}
-		applyOps(ops)
-	}
-	// Raise the applied floor only now, after any mutation is installed
-	// (ApplyAt raises it itself, post-install; this covers failed CAS
-	// and empty branches). Raising it before the write would let a
-	// WaitApplied reader wake at this index and read the pre-write state
-	// — a stale read after an acknowledged write. The WatchFrom backfill
-	// also compares this floor against the hub's delivery cursor, so
-	// every applied index must reach it.
-	_ = m.eng.AdvanceFloor(idx)
-	return res
-}
-
 // applyBatch applies a group-commit wrapper's sub-commands at one log
 // index. Guards of later sub-commands must see earlier sub-commands'
 // effects, but the engine may only install the batch in one ApplyAt:
@@ -1664,7 +1380,12 @@ func (m *stateMachine) applyBatch(idx uint64, subs []command) ([]result, []Event
 			})
 		}
 	}
-	// All-deduped batches still occupy the index.
+	// Raise the applied floor only now, after the mutations are
+	// installed (ApplyAt raises it itself, post-install; this covers
+	// failed guards and all-deduped batches, which still occupy the
+	// index). Raising it before the write would let a WaitApplied reader
+	// wake at this index and read the pre-write state — a stale read
+	// after an acknowledged write.
 	_ = m.eng.AdvanceFloor(idx)
 	return results, events
 }

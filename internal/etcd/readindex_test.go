@@ -8,106 +8,90 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/raft"
 )
 
 // The tests in this file pin the read-index read path: Get/Range served
 // from local MVCC snapshots must stay linearizable through leader
 // partitions (never returning a value older than an acknowledged
-// write), and serializable mode must be stale-at-worst, wrong-never.
+// write), and SerializableRange must be stale-at-worst, wrong-never.
 
-func newModeStore(t *testing.T, n int, mode string) (*Store, *clock.Sim) {
-	t.Helper()
-	s, clk := newTestStore(t, n)
-	if err := s.SetReadMode(mode); err != nil {
-		t.Fatal(err)
-	}
-	return s, clk
+// outliveLease sleeps past any check-quorum lease the leader holds. A
+// lease never outlives ElectionTimeoutMin from the round that armed it,
+// so once the quorum is gone, a linearizable read afterwards needs a
+// quorum round and times out rather than guess.
+func outliveLease(clk *clock.Sim) {
+	clk.Sleep(raft.DefaultConfig(clk).ElectionTimeoutMin)
 }
 
-// TestReadModeValidation: the three modes are accepted ("" selects the
-// default, leaseread), anything else is rejected.
-func TestReadModeValidation(t *testing.T) {
-	s, _ := newTestStore(t, 1)
-	if got := s.ReadMode(); got != ReadModeLease {
-		t.Fatalf("default read mode = %q, want %q", got, ReadModeLease)
-	}
-	for _, mode := range []string{ReadModeLease, ReadModeReadIndex, ReadModeSerializable, ""} {
-		if err := s.SetReadMode(mode); err != nil {
-			t.Fatalf("SetReadMode(%q) = %v", mode, err)
+// TestReadModesAgree: once writes are acknowledged, the linearizable
+// read path (Get, Range and read-only Txn) and SerializableRange answer
+// the same workload identically.
+func TestReadModesAgree(t *testing.T) {
+	s, _ := newTestStore(t, 3)
+	for i := 0; i < 6; i++ {
+		if _, err := s.Put(fmt.Sprintf("/m/k%d", i), fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got := s.ReadMode(); got != ReadModeLease {
-		t.Fatalf(`read mode after SetReadMode("") = %q, want %q`, got, ReadModeLease)
+	checkRange := func(t *testing.T, kvs []KV, err error) {
+		t.Helper()
+		if err != nil || len(kvs) != 6 {
+			t.Fatalf("range = (%d kvs, %v), want 6", len(kvs), err)
+		}
+		for i, kv := range kvs {
+			if kv.Key != fmt.Sprintf("/m/k%d", i) || kv.Value != fmt.Sprintf("v%d", i) {
+				t.Fatalf("range[%d] = %+v", i, kv)
+			}
+		}
 	}
-	if err := s.SetReadMode("linearizable-ish"); err == nil {
-		t.Fatal("bogus read mode accepted")
-	}
+	t.Run("leaseread", func(t *testing.T) {
+		v, found, err := s.Get("/m/k3")
+		if err != nil || !found || v != "v3" {
+			t.Fatalf("get = (%q,%v,%v), want (v3,true,nil)", v, found, err)
+		}
+		if _, found, err = s.Get("/m/missing"); err != nil || found {
+			t.Fatalf("missing get = (%v,%v)", found, err)
+		}
+		kvs, err := s.Range("/m/")
+		checkRange(t, kvs, err)
+		// Read-only txn: pure guard evaluation, no mutations.
+		ok, _, err := s.Txn([]Cmp{{Key: "/m/k3", Prev: "v3", PrevExists: true}}, nil, nil)
+		if err != nil || !ok {
+			t.Fatalf("read-only txn = (%v,%v), want guard to hold", ok, err)
+		}
+		ok, _, err = s.Txn([]Cmp{{Key: "/m/k3", Prev: "stale", PrevExists: true}}, nil, nil)
+		if err != nil || ok {
+			t.Fatalf("read-only txn with stale guard = (%v,%v), want false", ok, err)
+		}
+	})
+	t.Run("serializable", func(t *testing.T) {
+		// The freshest replica serves, and it has applied every
+		// acknowledged write.
+		kvs, err := s.SerializableRange("/m/")
+		checkRange(t, kvs, err)
+	})
 }
 
-// TestReadModesAgree: identical workloads answer identically in every
-// mode once the cluster is quiescent — Get, Range and read-only Txn.
-func TestReadModesAgree(t *testing.T) {
-	for _, mode := range []string{ReadModeLease, ReadModeReadIndex, ReadModeSerializable} {
-		t.Run(mode, func(t *testing.T) {
-			s, _ := newModeStore(t, 3, mode)
-			for i := 0; i < 6; i++ {
-				if _, err := s.Put(fmt.Sprintf("/m/k%d", i), fmt.Sprintf("v%d", i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			v, found, err := s.Get("/m/k3")
-			if err != nil || !found || v != "v3" {
-				t.Fatalf("get = (%q,%v,%v), want (v3,true,nil)", v, found, err)
-			}
-			if _, found, err = s.Get("/m/missing"); err != nil || found {
-				t.Fatalf("missing get = (%v,%v)", found, err)
-			}
-			kvs, err := s.Range("/m/")
-			if err != nil || len(kvs) != 6 {
-				t.Fatalf("range = (%d kvs, %v), want 6", len(kvs), err)
-			}
-			for i, kv := range kvs {
-				if kv.Key != fmt.Sprintf("/m/k%d", i) || kv.Value != fmt.Sprintf("v%d", i) {
-					t.Fatalf("range[%d] = %+v", i, kv)
-				}
-			}
-			// Read-only txn: pure guard evaluation, no mutations.
-			ok, _, err := s.Txn([]Cmp{{Key: "/m/k3", Prev: "v3", PrevExists: true}}, nil, nil)
-			if err != nil || !ok {
-				t.Fatalf("read-only txn = (%v,%v), want guard to hold", ok, err)
-			}
-			ok, _, err = s.Txn([]Cmp{{Key: "/m/k3", Prev: "stale", PrevExists: true}}, nil, nil)
-			if err != nil || ok {
-				t.Fatalf("read-only txn with stale guard = (%v,%v), want false", ok, err)
-			}
-		})
-	}
-}
-
-// TestReadIndexReadsCostNoProposals: read-index and leaseread Get/Range
-// issue zero Raft proposals.
+// TestReadIndexReadsCostNoProposals: linearizable Get/Range issue zero
+// Raft proposals.
 func TestReadIndexReadsCostNoProposals(t *testing.T) {
-	s, _ := newModeStore(t, 3, ReadModeReadIndex)
+	s, _ := newTestStore(t, 3)
 	if _, err := s.Put("/p/k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	const reads = 25
-	for _, mode := range []string{ReadModeReadIndex, ReadModeLease} {
-		if err := s.SetReadMode(mode); err != nil {
+	base := s.Proposals()
+	for i := 0; i < reads; i++ {
+		if _, _, err := s.Get("/p/k"); err != nil {
 			t.Fatal(err)
 		}
-		base := s.Proposals()
-		for i := 0; i < reads; i++ {
-			if _, _, err := s.Get("/p/k"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Range("/p/"); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := s.Range("/p/"); err != nil {
+			t.Fatal(err)
 		}
-		if got := s.Proposals() - base; got != 0 {
-			t.Fatalf("%s mode issued %d proposals for %d reads, want 0", mode, got, 2*reads)
-		}
+	}
+	if got := s.Proposals() - base; got != 0 {
+		t.Fatalf("issued %d proposals for %d reads, want 0", got, 2*reads)
 	}
 }
 
@@ -117,18 +101,14 @@ func TestReadIndexReadsCostNoProposals(t *testing.T) {
 // return a value at least as new — never an older acknowledged state,
 // which is exactly what a deposed leader serving reads from its local
 // snapshot (or a stale check-quorum lease outliving its bound) would
-// produce. Run in both linearizable modes: the lease fast path must
-// survive the same storm as dedicated rounds.
+// produce. Reads that find the lease dead fall back to quorum rounds,
+// so the storm exercises both halves of the default leaseread path.
 func TestReadIndexLinearizableUnderLeaderPartition(t *testing.T) {
-	for _, mode := range []string{ReadModeReadIndex, ReadModeLease} {
-		t.Run(mode, func(t *testing.T) {
-			testLinearizableUnderLeaderPartition(t, mode)
-		})
-	}
+	t.Run("leaseread", testLinearizableUnderLeaderPartition)
 }
 
-func testLinearizableUnderLeaderPartition(t *testing.T, mode string) {
-	s, clk := newModeStore(t, 3, mode)
+func testLinearizableUnderLeaderPartition(t *testing.T) {
+	s, clk := newTestStore(t, 3)
 
 	var acked int64 // highest value whose Put was acknowledged
 	partitioned := -1
@@ -179,12 +159,12 @@ func testLinearizableUnderLeaderPartition(t *testing.T, mode string) {
 	}
 }
 
-// TestSerializableBoundedStaleness: with the quorum gone, read-index
+// TestSerializableBoundedStaleness: with the quorum gone, linearizable
 // reads block (and time out) rather than guess — while serializable
 // reads keep answering from local state with a previously acknowledged
 // value: bounded staleness, not wrongness.
 func TestSerializableBoundedStaleness(t *testing.T) {
-	s, clk := newModeStore(t, 3, ReadModeReadIndex)
+	s, clk := newTestStore(t, 3)
 	s.timeout = 2 * time.Second // keep the no-quorum timeout cheap
 
 	acked := make(map[string]bool)
@@ -218,17 +198,22 @@ func TestSerializableBoundedStaleness(t *testing.T) {
 	ids := s.Nodes()
 	s.PartitionNode(ids[0])
 	s.PartitionNode(ids[1])
+	outliveLease(clk)
 
 	if _, _, err := s.Get("/s/k"); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("read-index get without quorum = %v, want ErrTimeout", err)
+		t.Fatalf("linearizable get without quorum = %v, want ErrTimeout", err)
 	}
 
-	if err := s.SetReadMode(ReadModeSerializable); err != nil {
-		t.Fatal(err)
+	serializableGet := func() (string, error) {
+		kvs, err := s.SerializableRange("/s/k")
+		if err != nil || len(kvs) != 1 {
+			return "", fmt.Errorf("serializable range = (%d kvs, %v), want 1", len(kvs), err)
+		}
+		return kvs[0].Value, nil
 	}
-	v, found, err := s.Get("/s/k")
-	if err != nil || !found {
-		t.Fatalf("serializable get without quorum = (%v,%v), want a value", found, err)
+	v, err := serializableGet()
+	if err != nil {
+		t.Fatalf("without quorum: %v", err)
 	}
 	if !acked[v] {
 		t.Fatalf("serializable read returned %q, not any acknowledged value", v)
@@ -242,7 +227,7 @@ func TestSerializableBoundedStaleness(t *testing.T) {
 	if _, err := s.Put("/s/k", "v6"); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("put without quorum = %v, want ErrTimeout", err)
 	}
-	v, _, err = s.Get("/s/k")
+	v, err = serializableGet()
 	if err != nil || !acked[v] {
 		t.Fatalf("serializable read after failed write = (%q,%v), want an acknowledged value", v, err)
 	}
@@ -251,11 +236,10 @@ func TestSerializableBoundedStaleness(t *testing.T) {
 	s.HealNode(ids[1])
 }
 
-// TestSerializableRangeOptIn: SerializableRange bypasses the store's
-// configured mode — it answers without quorum even when the store
-// default is read-index.
+// TestSerializableRangeOptIn: SerializableRange answers without quorum
+// where the linearizable Range times out.
 func TestSerializableRangeOptIn(t *testing.T) {
-	s, _ := newModeStore(t, 3, ReadModeReadIndex)
+	s, clk := newTestStore(t, 3)
 	s.timeout = 2 * time.Second
 	for i := 0; i < 3; i++ {
 		if _, err := s.Put(fmt.Sprintf("/gc/j1/k%d", i), "x"); err != nil {
@@ -265,9 +249,10 @@ func TestSerializableRangeOptIn(t *testing.T) {
 	ids := s.Nodes()
 	s.PartitionNode(ids[0])
 	s.PartitionNode(ids[1])
+	outliveLease(clk)
 
 	if _, err := s.Range("/gc/j1/"); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("read-index range without quorum = %v, want ErrTimeout", err)
+		t.Fatalf("linearizable range without quorum = %v, want ErrTimeout", err)
 	}
 	kvs, err := s.SerializableRange("/gc/j1/")
 	if err != nil || len(kvs) != 3 {
@@ -281,7 +266,7 @@ func TestSerializableRangeOptIn(t *testing.T) {
 // counters, so RangeOps (the control plane's ranges-per-job count)
 // only counts scans that actually completed.
 func TestOpCountsSplitFailures(t *testing.T) {
-	s, _ := newModeStore(t, 3, ReadModeReadIndex)
+	s, clk := newTestStore(t, 3)
 	s.timeout = time.Second
 	if _, err := s.Put("/c/k", "v"); err != nil {
 		t.Fatal(err)
@@ -297,6 +282,7 @@ func TestOpCountsSplitFailures(t *testing.T) {
 	for _, id := range s.Nodes() {
 		s.PartitionNode(id)
 	}
+	outliveLease(clk)
 	if _, err := s.Range("/c/"); err == nil {
 		t.Fatal("range with every node isolated succeeded")
 	}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // The tests in this file pin the quorum-amortized read path: lease
@@ -55,12 +57,20 @@ func TestLeaseReadsSkipRounds(t *testing.T) {
 	}
 }
 
-// TestLeaseDisabledPaysRounds: the A/B hatch — with leases off every
-// read pays a confirmation round (coalescing off too, so exactly one).
+// unarmedLeaseCluster builds a cluster whose check-quorum lease never
+// arms: a drift bound as large as the election timeout leaves no lease
+// window, so every linearizable read pays a confirmation round.
+func unarmedLeaseCluster(t *testing.T) (*Cluster, *clock.Sim) {
+	t.Helper()
+	return newTestClusterCfg(t, 3, func(cfg *Config) {
+		cfg.MaxClockDrift = cfg.ElectionTimeoutMin
+	})
+}
+
+// TestLeaseDisabledPaysRounds: with leases unarmed, sequential reads
+// pay one confirmation round each and none is served from the lease.
 func TestLeaseDisabledPaysRounds(t *testing.T) {
-	c, clk := newTestCluster(t, 3)
-	c.SetLeaseReads(false)
-	c.SetReadCoalescing(false)
+	c, clk := unarmedLeaseCluster(t)
 	proposeOK(t, c, clk, "w0")
 	waitCommitted(t, c, clk, 1, 10*time.Second)
 	l := warmLease(t, c, clk)
@@ -74,19 +84,18 @@ func TestLeaseDisabledPaysRounds(t *testing.T) {
 	}
 	after := c.ReadStats()
 	if got := after.LeaseReads - before.LeaseReads; got != 0 {
-		t.Fatalf("disabled lease still served %d reads", got)
+		t.Fatalf("unarmed lease still served %d reads", got)
 	}
 	if got := after.Rounds - before.Rounds; got != reads {
 		t.Fatalf("sequential reads cost %d rounds, want %d", got, reads)
 	}
 }
 
-// TestCoalescedReadsShareRounds: with leases off but coalescing on,
-// concurrent ReadIndex calls join shared confirmation rounds — one
-// in-flight round plus one queued — instead of launching one each.
+// TestCoalescedReadsShareRounds: with leases unarmed, concurrent
+// ReadIndex calls join shared confirmation rounds — one in-flight round
+// plus one queued — instead of launching one each.
 func TestCoalescedReadsShareRounds(t *testing.T) {
-	c, clk := newTestCluster(t, 3)
-	c.SetLeaseReads(false)
+	c, clk := unarmedLeaseCluster(t)
 	proposeOK(t, c, clk, "w0")
 	waitCommitted(t, c, clk, 1, 10*time.Second)
 	l := warmLease(t, c, clk)
@@ -111,6 +120,9 @@ func TestCoalescedReadsShareRounds(t *testing.T) {
 		}
 	}
 	after := c.ReadStats()
+	if got := after.LeaseReads - before.LeaseReads; got != 0 {
+		t.Fatalf("unarmed lease still served %d reads", got)
+	}
 	if got := after.RoundReads - before.RoundReads; got != readers {
 		t.Fatalf("rounds resolved %d reads, want %d", got, readers)
 	}

@@ -63,9 +63,8 @@ func p99(ds []time.Duration) time.Duration {
 // TestCommitLatencySlowFollower checks the pipelined write path's core
 // latency property: commits need only a quorum, so one slow follower
 // (200ms extra one-way latency) must not drag p99 commit latency beyond
-// 2x the all-fast baseline. Under stop-and-wait with a shared outstanding
-// round this held too, but pipelining must not regress it by stalling the
-// leader's window on the slow peer.
+// 2x the all-fast baseline: pipelining must not stall the leader's window
+// on the slow peer.
 func TestCommitLatencySlowFollower(t *testing.T) {
 	measure := func(delay time.Duration) time.Duration {
 		c, clk := newTestCluster(t, 3)

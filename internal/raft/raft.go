@@ -8,13 +8,12 @@
 // while any minority of nodes is crashed, and crashed nodes recover from
 // their persisted term/vote/log state.
 //
-// Replication is pipelined by default: the leader keeps a bounded
-// in-flight window per follower, advances nextIndex optimistically as it
-// sends, and rewinds on a consistency reject — instead of re-shipping the
-// full log suffix every broadcast and waiting one round per batch.
-// Lagging followers catch up through streamed snapshot chunks rather than
-// one monolithic installSnapshot message. Config.MaxInflightEntries <= 1
-// restores the stop-and-wait behavior as an A/B escape hatch.
+// Replication is pipelined: the leader keeps a bounded in-flight window
+// per follower, advances nextIndex optimistically as it sends, and
+// rewinds on a consistency reject — instead of re-shipping the full log
+// suffix every broadcast and waiting one round per batch. Lagging
+// followers catch up through streamed snapshot chunks rather than one
+// monolithic installSnapshot message.
 //
 // The linearizable read path is quorum-amortized: concurrent ReadIndex
 // calls coalesce onto shared leadership-confirmation rounds (group
@@ -22,9 +21,8 @@
 // check-quorum lease of ElectionTimeoutMin - MaxClockDrift during which
 // reads are answered from the commit index with zero messages. The
 // lease dies on step-down and on observed node-clock skew beyond the
-// drift bound; Config.LeaseReads / Config.CoalesceReads (and the
-// matching runtime setters) restore the one-round-per-read PR 5
-// behavior as the A/B escape hatch.
+// drift bound; a drift bound of at least ElectionTimeoutMin leaves it
+// unarmed, so every read pays a (coalesced) round.
 package raft
 
 import (
@@ -113,10 +111,7 @@ type Config struct {
 	// MaxInflightEntries bounds how many log entries a leader may have
 	// sent to one follower beyond its acknowledged match index before
 	// further sends carry no entries (the AppendEntries pipeline
-	// window). A value <= 1 disables pipelining entirely: the leader
-	// re-ships the full pending suffix on every broadcast and nextIndex
-	// advances only on acknowledgment — stop-and-wait, kept as the A/B
-	// escape hatch.
+	// window). It must be at least 1.
 	MaxInflightEntries int
 	// MaxInflightBytes bounds the same window by summed command bytes.
 	MaxInflightBytes int
@@ -128,20 +123,13 @@ type Config struct {
 	// instead of one monolithic message. <= 0 ships the snapshot whole.
 	SnapChunkSize int
 
-	// LeaseReads enables check-quorum leader leases: every heartbeat
-	// round a quorum confirms extends a lease of
+	// MaxClockDrift bounds how far apart any two node clocks are assumed
+	// to read. It is the lease-read safety margin: every heartbeat round
+	// a quorum confirms extends a check-quorum lease of
 	// ElectionTimeoutMin - MaxClockDrift from the round's start, and
 	// while the lease is live ReadIndex answers from the commit index
-	// with zero messages. Togglable at runtime via SetLeaseReads.
-	LeaseReads bool
-	// CoalesceReads makes concurrent ReadIndex calls share leadership
-	// confirmation rounds: while one round is in flight, later reads
-	// queue for the next round, which fires when the current one
-	// completes — one heartbeat round resolves N reads, exactly like
-	// group commit on the write path. Togglable via SetReadCoalescing.
-	CoalesceReads bool
-	// MaxClockDrift bounds how far apart any two node clocks are assumed
-	// to read. It is the lease-read safety margin, enforced three ways:
+	// with zero messages (a bound of at least ElectionTimeoutMin leaves
+	// leases unarmed). The margin is enforced three ways:
 	// the lease duration is shortened by it, an append ack whose echoed
 	// clock reading deviates from the leader's by more than it kills the
 	// lease (and blocks re-arming off that follower), and a lease whose
@@ -165,8 +153,6 @@ func DefaultConfig(clk clock.Clock) Config {
 		MaxInflightBytes:   1 << 20,
 		MaxAppendEntries:   64,
 		SnapChunkSize:      32 << 10,
-		LeaseReads:         true,
-		CoalesceReads:      true,
 		MaxClockDrift:      20 * time.Millisecond,
 	}
 }
@@ -259,8 +245,6 @@ type Node struct {
 	roundStart     map[uint64]time.Time
 	ackSeq         map[int]uint64
 	skewBad        map[int]bool
-	leaseOn        atomic.Bool
-	coalesceOn     atomic.Bool
 
 	rng           *rand.Rand
 	electionTimer clock.Timer
@@ -451,8 +435,6 @@ func startNode(id int, peers []int, cfg Config, store *MemoryStorage, trans *Tra
 		done:        make(chan struct{}),
 		mtrLabel:    fmt.Sprintf("node%d", id),
 	}
-	n.leaseOn.Store(cfg.LeaseReads)
-	n.coalesceOn.Store(cfg.CoalesceReads)
 	// Recover persisted state. Entries at or below the snapshot index
 	// were compacted away; applying resumes after the snapshot.
 	ps := store.Load()
@@ -534,25 +516,6 @@ func (n *Node) ReadStats() ReadStats {
 		LeaseReads:    n.statLeaseReads.Load(),
 		LeaseExpiries: n.statLeaseExpiries.Load(),
 	}
-}
-
-// SetLeaseReads toggles the check-quorum lease at runtime (the etcd
-// layer flips it with the read mode). Disabling kills any live lease
-// immediately, so the very next read pays a full confirmation round.
-func (n *Node) SetLeaseReads(on bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.leaseOn.Store(on)
-	if !on {
-		n.invalidateLeaseLocked()
-	}
-}
-
-// SetReadCoalescing toggles read-round coalescing at runtime. Turning
-// it off restores the PR 5 one-round-per-read behavior (the A/B
-// baseline); an already-queued coalesced round still completes.
-func (n *Node) SetReadCoalescing(on bool) {
-	n.coalesceOn.Store(on)
 }
 
 // setRegistry mirrors the node's replication counters into reg.
@@ -646,7 +609,7 @@ func (n *Node) startReadLocked(local chan readIndexResult, remote *remoteRead) {
 		n.persistLocked()
 		n.matchIndex[n.id] = e.Index
 	}
-	if n.coalesceOn.Load() && len(n.pendingReads) > 0 {
+	if len(n.pendingReads) > 0 {
 		// Coalesce: the newest pending round is either still unlaunched
 		// (join it) or already broadcast — its acks may predate this
 		// call, so a late joiner queues for the NEXT round instead,
@@ -771,7 +734,7 @@ func (n *Node) failPendingReadsLocked() {
 // leader whose commit index hasn't reached its own term may understate
 // acknowledged writes and must not answer from a lease.
 func (n *Node) leaseReadLocked() (uint64, bool) {
-	if !n.leaseOn.Load() || n.leaseUntil.IsZero() || n.leaseTerm != n.currentTerm {
+	if n.leaseUntil.IsZero() || n.leaseTerm != n.currentTerm {
 		return 0, false
 	}
 	if n.termAtLocked(n.commitIndex) != n.currentTerm {
@@ -806,9 +769,9 @@ func (n *Node) leaseDuration() time.Duration {
 	return n.cfg.ElectionTimeoutMin - drift
 }
 
-// invalidateLeaseLocked kills a live lease (step-down, clock trouble,
-// runtime disable); reads fall back to full confirmation rounds until a
-// clean quorum round re-arms it.
+// invalidateLeaseLocked kills a live lease (step-down, clock trouble);
+// reads fall back to full confirmation rounds until a clean quorum round
+// re-arms it.
 func (n *Node) invalidateLeaseLocked() {
 	if n.leaseUntil.IsZero() {
 		return
@@ -825,7 +788,7 @@ func (n *Node) invalidateLeaseLocked() {
 // record the round the follower confirmed, check its clock echo against
 // the drift bound, and extend — or kill — the lease accordingly.
 func (n *Node) observeAckLocked(from int, msg appendEntriesResp) {
-	if !n.leaseOn.Load() || n.leaseDuration() <= 0 {
+	if n.leaseDuration() <= 0 {
 		return
 	}
 	if msg.Seq > n.ackSeq[from] {
@@ -1448,7 +1411,7 @@ func (n *Node) handleAppendEntriesResp(from int, msg appendEntriesResp) {
 		// immediately instead of waiting for the next heartbeat tick.
 		// Only when the window is open — an over-eager empty probe racing
 		// in-flight entries would draw a reject and rewind the window.
-		if n.pipelined() && n.lastIndexLocked() >= n.nextIndex[from] {
+		if n.lastIndexLocked() >= n.nextIndex[from] {
 			if infE, infB := n.inflightLocked(from); infE < uint64(n.cfg.MaxInflightEntries) && infB < n.cfg.MaxInflightBytes {
 				n.sendAppendLocked(from)
 			}
@@ -1498,7 +1461,7 @@ func (n *Node) advanceCommitLocked() {
 
 func (n *Node) broadcastAppendLocked() {
 	n.hbSeq++ // new heartbeat round: later acks confirm leadership now
-	if n.leaseOn.Load() && n.leaseDuration() > 0 {
+	if n.leaseDuration() > 0 {
 		n.recordRoundLocked()
 	}
 	for _, p := range n.peers {
@@ -1510,10 +1473,6 @@ func (n *Node) broadcastAppendLocked() {
 	n.advanceCommitLocked()
 	n.enqueueAppliesLocked(n.takeAppliesLocked())
 }
-
-// pipelined reports whether replication uses an in-flight window
-// (false = the stop-and-wait A/B mode).
-func (n *Node) pipelined() bool { return n.cfg.MaxInflightEntries > 1 }
 
 // entryBytes approximates an entry's wire cost for window accounting.
 func entryBytes(e Entry) int { return len(e.Cmd) + 16 }
@@ -1560,13 +1519,7 @@ func (n *Node) sendAppendLocked(to int) {
 		Seq:          n.hbSeq,
 	}
 	if last := n.lastIndexLocked(); last >= next {
-		if !n.pipelined() {
-			// Stop-and-wait: re-ship the full pending suffix; nextIndex
-			// moves only when the follower acknowledges it.
-			entries := n.log[next-n.snapIndex-1:]
-			msg.Entries = make([]Entry, len(entries))
-			copy(msg.Entries, entries)
-		} else if infE, infB := n.inflightLocked(to); infE < uint64(n.cfg.MaxInflightEntries) && infB < n.cfg.MaxInflightBytes {
+		if infE, infB := n.inflightLocked(to); infE < uint64(n.cfg.MaxInflightEntries) && infB < n.cfg.MaxInflightBytes {
 			end := last
 			if maxE := uint64(n.cfg.MaxAppendEntries); maxE > 0 && end >= next+maxE {
 				end = next + maxE - 1

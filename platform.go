@@ -70,16 +70,6 @@ type Options struct {
 	// the moment of eviction instead of the last periodic checkpoint.
 	// Sub-second values effectively test the force-eviction path.
 	EvictionGracePeriod time.Duration
-	// ImmediateEviction restores the pre-protocol behavior for A/B
-	// comparison: preemption and node drain kill learner pods instantly,
-	// and a job forfeits up to a full CheckpointInterval of training.
-	ImmediateEviction bool
-
-	// Tracing enables ("on", the default) or disables ("off") the
-	// deterministic span recorder: job-lifecycle span trees on the
-	// virtual clock, served via /traces/{jobID} and Platform.Trace().
-	// "off" exists for the overhead A/B (see BenchmarkTraceOverhead).
-	Tracing string
 
 	// MaxDeployAttempts bounds Guardian deployment retries (default 3).
 	MaxDeployAttempts int
@@ -113,9 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EvictionGracePeriod <= 0 {
 		o.EvictionGracePeriod = 30 * time.Second
-	}
-	if o.Tracing == "" {
-		o.Tracing = "on"
 	}
 	return o
 }
@@ -162,15 +149,7 @@ func New(opts Options) (*Platform, error) {
 		p.closePartial()
 		return nil, fmt.Errorf("dlaas: unknown GPU type %q", opts.GPUType)
 	}
-	switch opts.Tracing {
-	case "on":
-		p.trace = trace.NewRecorder(p.clk)
-	case "off":
-		// p.trace stays nil; every trace call site is nil-safe.
-	default:
-		p.closePartial()
-		return nil, fmt.Errorf("dlaas: unknown tracing mode %q", opts.Tracing)
-	}
+	p.trace = trace.NewRecorder(p.clk)
 
 	p.metrics = metrics.NewRegistry()
 	p.nfs = nfs.NewServer(p.clk)
@@ -178,14 +157,7 @@ func New(opts Options) (*Platform, error) {
 	p.store = objectstore.New(p.clk, p.link)
 	p.mongo = mongo.NewSharded(p.clk, opts.MetadataShards)
 	p.mongo.Instrument(p.metrics)
-	kv, err := etcd.NewWithOptions(opts.EtcdReplicas, p.clk, etcd.StoreOptions{
-		Shards: opts.MetadataShards,
-	})
-	if err != nil {
-		p.closePartial()
-		return nil, fmt.Errorf("dlaas: %w", err)
-	}
-	p.etcd = kv
+	p.etcd = etcd.NewSharded(opts.EtcdReplicas, p.clk, opts.MetadataShards)
 	p.etcd.Instrument(p.metrics)
 	p.bus = rpc.NewBus(p.clk, rpc.WithTracer(p.trace))
 
@@ -197,17 +169,13 @@ func New(opts Options) (*Platform, error) {
 			GPUType: opts.GPUType,
 		})
 	}
-	grace := opts.EvictionGracePeriod
-	if opts.ImmediateEviction {
-		grace = 0
-	}
 	p.cluster = kube.NewCluster(kube.Config{
 		Clock:               p.clk,
 		NFS:                 p.nfs,
 		Scheduling:          opts.Scheduling,
 		DisablePreemption:   opts.DisablePreemption,
 		DisableBackfill:     opts.DisableBackfill,
-		EvictionGracePeriod: grace,
+		EvictionGracePeriod: opts.EvictionGracePeriod,
 		Seed:                opts.Seed,
 		Trace:               p.trace,
 	}, nodes...)
@@ -232,6 +200,7 @@ func New(opts Options) (*Platform, error) {
 	lcmSvc.GuardianStepDelay = opts.GuardianStepDelay
 	lcmSvc.MaxDeployAttempts = opts.MaxDeployAttempts
 
+	var err error
 	p.apiDep, err = p.cluster.CreateDeployment("dlaas-api", opts.APIReplicas, kube.PodSpec{
 		Labels:        map[string]string{"app": "dlaas-api"},
 		RestartPolicy: kube.RestartAlways,
@@ -299,7 +268,8 @@ func (p *Platform) Chaos() *chaos.Injector { return p.chaos }
 // request metering, API latencies, and operational gauges.
 func (p *Platform) Metrics() *metrics.Registry { return p.metrics }
 
-// Trace exposes the platform span recorder (nil when Tracing is off).
+// Trace exposes the platform span recorder: job-lifecycle span trees on
+// the virtual clock, also served via /traces/{jobID}.
 func (p *Platform) Trace() *trace.Recorder { return p.trace }
 
 // Cluster exposes the underlying simulated Kubernetes cluster.
