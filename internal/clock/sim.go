@@ -12,21 +12,21 @@ import (
 // by virtual deadline. Virtual time advances in one of two ways:
 //
 //   - Explicitly, via Advance (deterministic unit tests).
-//   - Automatically, via the idle-advance loop started by NewSim: whenever
-//     no virtual event has fired or been scheduled for a short real-time
-//     grace window and at least one waiter exists, the clock jumps to the
-//     earliest pending deadline. This lets a fully concurrent system of
-//     goroutines (services, kubelets, Raft nodes, training jobs) run
-//     "as fast as the CPU allows" while every measured duration stays in
-//     virtual units.
+//   - Automatically, via the idle-advance loop started by NewSim: once
+//     quietWindow of real time has passed since a virtual event was last
+//     scheduled or fired, and at least one waiter exists, the clock jumps
+//     to the earliest pending deadline. This lets a fully concurrent
+//     system of goroutines (services, kubelets, Raft nodes, training jobs)
+//     run "as fast as the CPU allows" while every measured duration stays
+//     in virtual units.
 //
 // The zero value is not usable; construct with NewSim or NewManual.
 type Sim struct {
 	mu       sync.Mutex
 	now      time.Time
 	events   eventHeap
-	seq      uint64 // event sequence, breaks deadline ties FIFO
-	activity uint64 // bumped on schedule and fire; read by idle-advance
+	seq      uint64    // event sequence, breaks deadline ties FIFO
+	active   time.Time // wall time of the last schedule or fire; read by idle-advance
 	closed   bool
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -38,9 +38,12 @@ var _ Clock = (*Sim)(nil)
 // keeps runs reproducible and avoids reading the wall clock.
 var simEpoch = time.Date(2018, time.May, 17, 0, 0, 0, 0, time.UTC)
 
-// graceWindow is how long the idle-advance loop waits (in real time) with
-// no virtual activity before jumping virtual time forward.
-const graceWindow = 200 * time.Microsecond
+// quietWindow is how long (in real time) no event may be scheduled or
+// fired before the idle-advance loop jumps virtual time forward. The loop
+// waits the whole window in one timer sleep: the Go runtime rounds an idle
+// sub-millisecond sleep up to 1 ms, so each extra poll inside the window
+// would cost a millisecond per virtual instant.
+const quietWindow = 400 * time.Microsecond
 
 // NewSim returns a virtual clock whose idle-advance loop is running.
 // Call Close when the simulation is finished to release the loop.
@@ -102,14 +105,14 @@ func (s *Sim) Sleep(d time.Duration) {
 		return
 	}
 	done := make(chan struct{})
-	s.schedule(d, func(time.Time) { close(done) }, nil)
+	s.schedule(d, func(time.Time) { close(done) })
 	<-done
 }
 
 // After implements Clock.
 func (s *Sim) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
-	s.schedule(d, func(t time.Time) { ch <- t }, nil)
+	s.schedule(d, func(t time.Time) { ch <- t })
 	return ch
 }
 
@@ -117,7 +120,7 @@ func (s *Sim) After(d time.Duration) <-chan time.Time {
 func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
 	t := &simTimer{s: s, ch: make(chan time.Time, 1)}
 	t.fire = func(now time.Time) { go f() }
-	t.ev = s.schedule(d, t.fire, t)
+	t.ev = s.schedule(d, t.fire)
 	return t
 }
 
@@ -130,7 +133,7 @@ func (s *Sim) NewTimer(d time.Duration) Timer {
 		default:
 		}
 	}
-	t.ev = s.schedule(d, t.fire, t)
+	t.ev = s.schedule(d, t.fire)
 	return t
 }
 
@@ -190,7 +193,7 @@ type event struct {
 	stopped bool // canceled before firing
 }
 
-func (s *Sim) schedule(d time.Duration, fire func(time.Time), _ *simTimer) *event {
+func (s *Sim) schedule(d time.Duration, fire func(time.Time)) *event {
 	if d < 0 {
 		d = 0
 	}
@@ -198,7 +201,7 @@ func (s *Sim) schedule(d time.Duration, fire func(time.Time), _ *simTimer) *even
 	defer s.mu.Unlock()
 	ev := &event{when: s.now.Add(d), seq: s.seq, fire: fire}
 	s.seq++
-	s.activity++
+	s.active = time.Now()
 	if s.closed {
 		// Clock already closed: fire immediately so callers never hang.
 		go fire(ev.when)
@@ -217,7 +220,7 @@ func (s *Sim) detachLocked(ev *event) func(time.Time) {
 	if ev.stopped {
 		return nil
 	}
-	s.activity++
+	s.active = time.Now()
 	return ev.fire
 }
 
@@ -235,30 +238,31 @@ func (s *Sim) cancel(ev *event) bool {
 	return true
 }
 
-// idleAdvance is the auto-advance loop: when no virtual activity happened
-// for a grace window and waiters exist, jump to the earliest deadline.
+// idleAdvance is the auto-advance loop: once quietWindow has passed since
+// the last schedule or fire and waiters exist, jump to the earliest
+// deadline. One reused timer wakes the loop when the window would end.
 func (s *Sim) idleAdvance() {
-	var lastActivity uint64
+	wake := time.NewTimer(quietWindow)
+	defer wake.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-time.After(graceWindow):
+		case <-wake.C:
 		}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			return
 		}
-		if s.activity != lastActivity {
-			// Something real happened recently; give goroutines time
-			// to run before jumping.
-			lastActivity = s.activity
+		if wait := quietWindow - time.Since(s.active); wait > 0 || s.events.Len() == 0 {
+			// Not quiet yet: sleep out the rest of the window. Quiet
+			// but nothing waits: look again a whole window later.
 			s.mu.Unlock()
-			continue
-		}
-		if s.events.Len() == 0 {
-			s.mu.Unlock()
+			if wait <= 0 {
+				wait = quietWindow
+			}
+			wake.Reset(wait)
 			continue
 		}
 		// Quiescent with pending events: jump to the next deadline and
@@ -273,11 +277,11 @@ func (s *Sim) idleAdvance() {
 				fires = append(fires, f)
 			}
 		}
-		lastActivity = s.activity
 		s.mu.Unlock()
 		for _, f := range fires {
 			f(next)
 		}
+		wake.Reset(quietWindow)
 	}
 }
 
@@ -305,7 +309,7 @@ func (t *simTimer) Reset(d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.s.cancel(t.ev)
-	t.ev = t.s.schedule(d, t.fire, nil)
+	t.ev = t.s.schedule(d, t.fire)
 }
 
 type simTicker struct {
@@ -340,7 +344,7 @@ func (t *simTicker) arm() {
 		default:
 		}
 		t.arm()
-	}, nil)
+	})
 }
 
 // eventHeap orders events by deadline, then scheduling order.

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,6 +210,20 @@ func TestCloseReleasesSleepers(t *testing.T) {
 	case <-released:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not release sleeper")
+	}
+}
+
+func TestCloseStopsIdleLoop(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewSim()
+	s.Sleep(time.Second) // one jump, so the loop has re-armed its timer
+	s.Close()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after Close, want <= %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
